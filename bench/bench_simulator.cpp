@@ -153,28 +153,6 @@ BENCHMARK(BM_ShotEngineTerminal)->Arg(1)->Arg(2)->Arg(8)
     ->Unit(benchmark::kMillisecond);
 
 /**
- * Seed-equivalent reference on the same workload: full per-shot replay
- * (options.naive), pinned to one iteration because a single run costs
- * seconds. The BM_ShotEngineTerminal/1 ratio is the engine speedup.
- */
-void
-BM_ShotEngineTerminalNaive(benchmark::State& state)
-{
-    const QuantumCircuit qc = measuredQft(12);
-    SimOptions options;
-    options.shots = 4096;
-    options.seed = 7;
-    options.num_threads = 1;
-    options.naive = true;
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(runShots(qc, options).shots);
-    }
-    state.SetItemsProcessed(int64_t(state.iterations()) * options.shots);
-}
-BENCHMARK(BM_ShotEngineTerminalNaive)->Iterations(1)
-    ->Unit(benchmark::kMillisecond);
-
-/**
  * Shot engine with a mid-circuit measurement: the deterministic prefix
  * (10 layers) is cached; only the short suffix replays per shot.
  */

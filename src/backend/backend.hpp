@@ -6,10 +6,12 @@
  * shot-invariant work done once — and a PreparedCircuit hands out
  * ShotSamplers — the per-worker mutable scratch — so one pooled shot
  * loop (runPrepared) can drive any backend with the engine's
- * counter-based RNG streams. Three implementations are registered:
+ * counter-based RNG streams. Every implementation's PreparedCircuit is
+ * the one shot plan of backend/shot_program.hpp over a per-backend state
+ * adapter. Four implementations are registered:
  *
- *  - statevector: the general dense engine (sim/engine.hpp) with prefix
- *    caching and the terminal-sampling fast path; O(2^n) per gate.
+ *  - statevector: the general dense engine with prefix caching and the
+ *    terminal-sampling fast path; O(2^n) per gate.
  *  - density_matrix: exact channel evolution of rho with sampling from
  *    the final diagonal; O(4^n) per gate, shots nearly free; terminal
  *    measurements only.

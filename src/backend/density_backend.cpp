@@ -1,24 +1,18 @@
 /**
  * @file
- * Density-matrix backend: evolve rho once through every gate with its
- * noise channels applied exactly (no trajectory sampling), then serve
- * each shot by sampling the final diagonal and applying classical
+ * Density-matrix backend: a ShotProgram state adapter that evolves rho
+ * through every gate with its noise channels applied exactly (no
+ * trajectory sampling), so the whole circuit is shot-invariant prefix
+ * and each shot is one SampleTable draw over the final diagonal plus
  * readout error. Capability limits: terminal measurements only, no
  * resets, and a hard qubit cap (4^n matrix entries).
  *
- * Shots are nearly free — one O(log d) cumulative-table draw plus one
- * readout bernoulli per measured bit — which is what makes this backend
- * win for non-Pauli channels on small circuits despite the 4^n state.
+ * Shots are nearly free, which is what makes this backend win for
+ * non-Pauli channels on small circuits despite the 4^n state.
  */
-#include "backend/backend.hpp"
+#include "backend/shot_program.hpp"
 
-#include <algorithm>
-#include <cmath>
-
-#include "backend/analyzer.hpp"
-#include "common/error.hpp"
 #include "sim/density.hpp"
-#include "sim/engine.hpp"
 #include "sim/fusion.hpp"
 
 namespace qa
@@ -31,131 +25,64 @@ namespace
 
 constexpr int kMaxQubits = 8;
 
-class DensityPrepared final : public PreparedCircuit
+struct DensityAdapter
 {
-  public:
-    DensityPrepared(const QuantumCircuit& circuit,
-                    const SimOptions& options)
-        : num_qubits_(circuit.numQubits()),
-          noise_(options.noise != nullptr && options.noise->enabled()
-                     ? options.noise
-                     : nullptr),
-          clbits0_(size_t(std::max(circuit.numClbits(), 0)), '0')
+    using State = DensityState;
+    using Gate = Instruction;
+
+    const NoiseModel* noise = nullptr;
+    FusionOptions fusion;
+
+    /**
+     * Fuse only when no per-gate Kraus channel is active: fusion
+     * changes gate arity, which would redirect apply's channel loop to
+     * the wrong list (noise_1q vs noise_2q).
+     */
+    std::vector<Instruction>
+    lower(const std::vector<Instruction>& instrs, size_t begin, size_t end,
+          bool) const
     {
-        if (noise_ != nullptr) noise_->validate();
-
-        const CircuitProfile profile = analyzeCircuit(circuit);
-        QA_REQUIRE(profile.terminal_measure_only,
-                   "density-matrix backend requires terminal-only "
-                   "measurements and no resets");
-        QA_REQUIRE(num_qubits_ <= kMaxQubits,
-                   "density-matrix backend supports at most " +
-                       std::to_string(kMaxQubits) + " qubits");
-        measures_ = profile.terminal_measures;
-
-        // Fuse only when no per-gate Kraus channel is active: fusion
-        // changes gate arity, which would redirect the channel loop
-        // below to the wrong list (noise_1q vs noise_2q).
-        const bool kraus =
-            noise_ != nullptr && (!noise_->noise_1q.empty() ||
-                                  !noise_->noise_2q.empty());
-        std::vector<Instruction> program;
-        if (options.fusion && !kraus) {
-            FusedProgram prog = fuseCircuit(
-                circuit,
-                FusionOptions{true, options.fusion_max_qubits});
-            program = std::move(prog.instructions);
-        } else {
-            program = circuit.instructions();
+        const bool kraus = noise != nullptr && (!noise->noise_1q.empty() ||
+                                                !noise->noise_2q.empty());
+        if (!fusion.enabled || kraus) {
+            return {instrs.begin() + long(begin), instrs.begin() + long(end)};
         }
+        return fuseInstructions(instrs, begin, end, fusion).instructions;
+    }
 
-        // Exact evolution: gate, then that gate's channels on each
-        // touched qubit — the same ordering the statevector engine uses
-        // for its per-shot trajectories, so distributions match.
-        DensityState state(num_qubits_);
-        state.setSimd(options.simd);
-        for (const Instruction& instr : program) {
-            if (instr.type != OpType::kGate) continue;
-            state.applyGate(instr);
-            if (noise_ == nullptr) continue;
-            const auto& channels = instr.arity() == 1
-                                       ? noise_->noise_1q
-                                       : noise_->noise_2q;
-            for (int q : instr.qubits) {
-                for (const KrausChannel& channel : channels) {
-                    state.applyKraus(channel, q);
-                }
+    Instruction resolve(Instruction gate) const { return gate; }
+
+    /**
+     * Exact evolution: the gate, then its channels on each touched
+     * qubit — the order the statevector engine samples trajectories
+     * in, so distributions match.
+     */
+    void
+    apply(State& state, const Gate& gate) const
+    {
+        state.applyGate(gate);
+        if (noise == nullptr) return;
+        const auto& channels =
+            gate.arity() == 1 ? noise->noise_1q : noise->noise_2q;
+        for (int q : gate.qubits) {
+            for (const KrausChannel& channel : channels) {
+                state.applyKraus(channel, q);
             }
         }
+    }
 
-        // Cumulative table over the diagonal: each shot is one
-        // O(log d) draw. Clamp tiny negative diagonals (roundoff).
+    /** The diagonal, clamping tiny negative entries (roundoff). */
+    std::vector<double>
+    weights(const State& state) const
+    {
         const CMatrix& rho = state.rho();
-        const size_t dim = size_t(1) << num_qubits_;
-        cumulative_.resize(dim);
-        double acc = 0.0;
-        for (size_t i = 0; i < dim; ++i) {
-            acc += std::max(0.0, rho(i, i).real());
-            cumulative_[i] = acc;
+        std::vector<double> out(rho.rows());
+        for (size_t i = 0; i < out.size(); ++i) {
+            out[i] = std::max(0.0, rho(i, i).real());
         }
-        QA_REQUIRE(acc > 1e-14,
-                   "density evolution produced a zero-mass diagonal");
+        return out;
     }
-
-    std::unique_ptr<ShotSampler> makeSampler() const override;
-
-    std::string
-    sampleShot(Rng& rng) const
-    {
-        const double draw = rng.uniform() * cumulative_.back();
-        const auto it = std::upper_bound(cumulative_.begin(),
-                                         cumulative_.end(), draw);
-        const uint64_t index =
-            it == cumulative_.end()
-                ? uint64_t(cumulative_.size()) - 1
-                : uint64_t(it - cumulative_.begin());
-
-        std::string clbits = clbits0_;
-        for (const auto& [q, c] : measures_) {
-            int outcome = int((index >> (num_qubits_ - 1 - q)) & 1);
-            if (noise_ != nullptr) {
-                outcome = applyReadoutError(outcome, *noise_, rng);
-            }
-            clbits[size_t(c)] = outcome ? '1' : '0';
-        }
-        return clbits;
-    }
-
-  private:
-    int num_qubits_;
-    const NoiseModel* noise_;
-    std::string clbits0_;
-    std::vector<std::pair<int, int>> measures_;
-    std::vector<double> cumulative_;
 };
-
-class DensitySampler final : public ShotSampler
-{
-  public:
-    explicit DensitySampler(const DensityPrepared& prepared)
-        : prepared_(prepared)
-    {}
-
-    std::string
-    runOne(Rng& rng) override
-    {
-        return prepared_.sampleShot(rng);
-    }
-
-  private:
-    const DensityPrepared& prepared_;
-};
-
-std::unique_ptr<ShotSampler>
-DensityPrepared::makeSampler() const
-{
-    return std::make_unique<DensitySampler>(*this);
-}
 
 class DensityBackend final : public Backend
 {
@@ -175,11 +102,27 @@ class DensityBackend final : public Backend
         return caps;
     }
 
+    /**
+     * ShotProgram rejects any circuit that leaves a suffix to replay
+     * (a reset, or a gate after a measurement): this adapter has no
+     * per-shot measure or reset.
+     */
     std::shared_ptr<const PreparedCircuit>
     prepare(const QuantumCircuit& circuit,
             const SimOptions& options) const override
     {
-        return std::make_shared<DensityPrepared>(circuit, options);
+        const NoiseModel* noise = activeNoise(options.noise);
+        QA_REQUIRE(circuit.numQubits() <= kMaxQubits,
+                   "density-matrix backend supports at most " +
+                       std::to_string(kMaxQubits) + " qubits");
+        DensityState initial(circuit.numQubits());
+        initial.setSimd(options.simd);
+        return std::make_shared<ShotProgram<DensityAdapter>>(
+            circuit, noise,
+            DensityAdapter{
+                noise,
+                FusionOptions{options.fusion, options.fusion_max_qubits}},
+            std::move(initial));
     }
 };
 

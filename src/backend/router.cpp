@@ -194,7 +194,7 @@ routeShots(const QuantumCircuit& circuit, const SimOptions& options)
     // Fusion summary: what the dense backends will execute. Kraus
     // channels revert the noisy stream to raw gates at prepare time,
     // so the cost model only credits fusion when none are active.
-    choice.fusion_enabled = options.fusion && !options.naive;
+    choice.fusion_enabled = options.fusion;
     if (choice.fusion_enabled) {
         choice.fusion =
             fuseCircuit(circuit, FusionOptions{
@@ -247,13 +247,6 @@ routeShots(const QuantumCircuit& circuit, const SimOptions& options)
           case BackendRequest::kAuto:
             break;
         }
-        return choice;
-    }
-
-    if (options.naive) {
-        choice.backend = BackendKind::kStatevector;
-        choice.reason =
-            "naive replay is a statevector-engine diagnostic mode";
         return choice;
     }
 

@@ -4,10 +4,10 @@
  * cheapest capable simulation backend.
  *
  * Routing is a pure function of the circuit structure, the noise model,
- * and the keyed run options (shots, explicit backend request, naive
- * flag) — never of wall-clock, thread count, or RNG state. That makes
- * the decision bit-identically reproducible, which the serve layer
- * relies on when it absorbs the resolved backend into cache keys.
+ * and the keyed run options (shots, explicit backend request) — never
+ * of wall-clock, thread count, or RNG state. That makes the decision
+ * bit-identically reproducible, which the serve layer relies on when it
+ * absorbs the resolved backend into cache keys.
  *
  * routeShots never throws: an explicit request for a backend that
  * cannot run the job comes back with `capable == false` and a reason,
@@ -54,7 +54,7 @@ struct BackendChoice
 
     /**
      * True when the job's options enable gate fusion for the dense
-     * backends (options.fusion and not naive). Per-gate Kraus noise
+     * backends (options.fusion). Per-gate Kraus noise
      * still reverts the affected stream to raw gates at prepare time.
      */
     bool fusion_enabled = false;
@@ -83,12 +83,12 @@ struct BackendChoice
 
 /**
  * Route one shot-execution job. Considers, in order: an explicit
- * `options.backend` request (validated, never overridden), the naive
- * replay flag (statevector only), the stabilizer fast path (Clifford
- * circuit, noise absent or Pauli/readout only), the density-matrix
- * backend (non-Pauli channels on a small terminal-measurement circuit
- * where exact channel evolution beats per-shot trajectory replay), and
- * finally the general statevector engine. Never throws.
+ * `options.backend` request (validated, never overridden), the
+ * stabilizer fast path (Clifford circuit, noise absent or Pauli/readout
+ * only), the density-matrix backend (non-Pauli channels on a small
+ * terminal-measurement circuit where exact channel evolution beats
+ * per-shot trajectory replay), and finally the general statevector
+ * engine. Never throws.
  */
 BackendChoice routeShots(const QuantumCircuit& circuit,
                          const SimOptions& options);

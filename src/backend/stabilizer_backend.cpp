@@ -4,27 +4,21 @@
  * tableau (stab/tableau.hpp), polynomial in the qubit count where the
  * dense engines are exponential.
  *
- * Preparation mirrors the statevector engine's prefix split: the
- * instructions before the first stochastic point (measurement, reset,
- * or a gate with an active Pauli channel) evolve one shared tableau;
- * each shot copies it (O(n^2) bytes) and replays only the stochastic
- * suffix. Gates are applied by name when the tableau knows them and via
- * Clifford recognition (stab/clifford.hpp) otherwise, so rz(pi/2) or a
- * Clifford `unitary` instruction routes here too.
+ * A ShotProgram state adapter: the shared prefix evolves one tableau;
+ * the tableau has no terminal sample, so each shot copies it (O(n^2)
+ * bytes) and replays every measurement. Gates are applied by name when
+ * the tableau knows them and via Clifford recognition
+ * (stab/clifford.hpp) otherwise, so rz(pi/2) or a Clifford `unitary`
+ * instruction routes here too.
  *
  * Noise: Pauli-mixture Kraus channels are sampled per trajectory as
  * sign-only tableau updates (probabilities are state-independent, which
- * is exactly what recognizePauliChannel certifies); classical readout
- * error reuses the engine's applyReadoutError. Non-Pauli channels and
+ * is exactly what recognizePauliChannel certifies). Non-Pauli channels and
  * non-Clifford gates are capability violations and throw kBadRequest.
  */
-#include "backend/backend.hpp"
-
-#include <algorithm>
+#include "backend/shot_program.hpp"
 
 #include "backend/analyzer.hpp"
-#include "common/error.hpp"
-#include "sim/engine.hpp"
 #include "stab/tableau.hpp"
 
 namespace qa
@@ -35,160 +29,29 @@ namespace backend
 namespace
 {
 
-/** One instruction of the per-shot stochastic suffix, pre-resolved. */
-struct SuffixOp
+/** A named tableau gate, or a recognized Clifford action. */
+struct StabilizerGate
 {
-    enum class Kind
-    {
-        kNamedGate,    ///< tableau applyGate by name
-        kCliffordGate, ///< recognized action via applyClifford
-        kMeasure,
-        kReset,
-    };
-
-    Kind kind = Kind::kNamedGate;
-    Instruction instr;    ///< named gates (owned copy; no borrowing)
-    CliffordAction action; ///< recognized gates
-    std::vector<int> qubits;
-    int cbit = -1;
-    bool noisy = false;  ///< Pauli channels follow this gate
-    bool two_q = false;  ///< which channel list applies
+    Instruction instr;
+    std::optional<CliffordAction> action;
 };
 
-class StabilizerPrepared final : public PreparedCircuit
+struct StabilizerAdapter
 {
-  public:
-    StabilizerPrepared(const QuantumCircuit& circuit,
-                       const NoiseModel* noise)
-        : prefix_(std::max(circuit.numQubits(), 1)),
-          clbits0_(size_t(std::max(circuit.numClbits(), 0)), '0')
+    using State = StabilizerTableau;
+    using Gate = StabilizerGate;
+
+    std::vector<PauliChannel> chan1;
+    std::vector<PauliChannel> chan2;
+
+    explicit StabilizerAdapter(const NoiseModel* noise)
     {
-        const NoiseModel* active =
-            noise != nullptr && noise->enabled() ? noise : nullptr;
-        if (active != nullptr) {
-            active->validate();
-            readout_p01_ = active->readout_p01;
-            readout_p10_ = active->readout_p10;
-            adoptChannels(active->noise_1q, &chan1_);
-            adoptChannels(active->noise_2q, &chan2_);
-        }
-
-        // Resolve every instruction up front (named / recognized /
-        // stochastic), rejecting anything outside the Clifford+Pauli
-        // capability set with a clear error.
-        std::vector<SuffixOp> ops;
-        for (const Instruction& instr : circuit.instructions()) {
-            switch (instr.type) {
-              case OpType::kGate: {
-                SuffixOp op;
-                op.qubits = instr.qubits;
-                op.two_q = instr.arity() != 1;
-                op.noisy = !(op.two_q ? chan2_ : chan1_).empty();
-                if (isNamedCliffordGate(instr)) {
-                    op.kind = SuffixOp::Kind::kNamedGate;
-                    op.instr = instr;
-                } else {
-                    std::optional<CliffordAction> action =
-                        recognizeClifford(instr);
-                    QA_REQUIRE_CODE(action.has_value(),
-                                    ErrorCode::kBadRequest,
-                                    "stabilizer backend cannot run "
-                                    "non-Clifford gate '" +
-                                        instr.name + "'");
-                    op.kind = SuffixOp::Kind::kCliffordGate;
-                    op.action = std::move(*action);
-                }
-                ops.push_back(std::move(op));
-                break;
-              }
-              case OpType::kMeasure: {
-                SuffixOp op;
-                op.kind = SuffixOp::Kind::kMeasure;
-                op.qubits = instr.qubits;
-                op.cbit = instr.cbit;
-                ops.push_back(std::move(op));
-                break;
-              }
-              case OpType::kReset: {
-                SuffixOp op;
-                op.kind = SuffixOp::Kind::kReset;
-                op.qubits = instr.qubits;
-                ops.push_back(std::move(op));
-                break;
-              }
-              case OpType::kBarrier:
-                break;
-            }
-        }
-
-        // Deterministic prefix: everything before the first stochastic
-        // op evolves the shared tableau once; shots replay the rest.
-        size_t split = ops.size();
-        for (size_t i = 0; i < ops.size(); ++i) {
-            const SuffixOp& op = ops[i];
-            const bool stochastic =
-                op.kind == SuffixOp::Kind::kMeasure ||
-                op.kind == SuffixOp::Kind::kReset ||
-                op.noisy;
-            if (stochastic) {
-                split = i;
-                break;
-            }
-        }
-        for (size_t i = 0; i < split; ++i) applyGateOp(prefix_, ops[i]);
-        suffix_.assign(std::make_move_iterator(ops.begin() +
-                                               long(split)),
-                       std::make_move_iterator(ops.end()));
+        if (noise == nullptr) return;
+        adoptChannels(noise->noise_1q, &chan1);
+        adoptChannels(noise->noise_2q, &chan2);
     }
 
-    std::unique_ptr<ShotSampler> makeSampler() const override;
-
-    /** One trajectory: copy the prefix tableau, replay the suffix. */
-    std::string
-    runShot(StabilizerTableau& scratch, Rng& rng) const
-    {
-        scratch = prefix_;
-        std::string clbits = clbits0_;
-        for (const SuffixOp& op : suffix_) {
-            switch (op.kind) {
-              case SuffixOp::Kind::kNamedGate:
-              case SuffixOp::Kind::kCliffordGate:
-                applyGateOp(scratch, op);
-                if (op.noisy) applyPauliNoise(scratch, op, rng);
-                break;
-              case SuffixOp::Kind::kMeasure: {
-                int outcome = scratch.measure(op.qubits[0], rng);
-                if (readout_p01_ > 0.0 || readout_p10_ > 0.0) {
-                    outcome = applyReadout(outcome, rng);
-                }
-                clbits[size_t(op.cbit)] = outcome ? '1' : '0';
-                break;
-              }
-              case SuffixOp::Kind::kReset:
-                // Measure-and-correct, matching Statevector::reset.
-                if (scratch.measure(op.qubits[0], rng) == 1) {
-                    scratch.applyX(op.qubits[0]);
-                }
-                break;
-            }
-        }
-        return clbits;
-    }
-
-    const StabilizerTableau& prefix() const { return prefix_; }
-
-  private:
     static void
-    applyGateOp(StabilizerTableau& tableau, const SuffixOp& op)
-    {
-        if (op.kind == SuffixOp::Kind::kNamedGate) {
-            tableau.applyGate(op.instr);
-        } else {
-            tableau.applyClifford(op.action, op.qubits);
-        }
-    }
-
-    void
     adoptChannels(const std::vector<KrausChannel>& channels,
                   std::vector<PauliChannel>* out)
     {
@@ -203,15 +66,46 @@ class StabilizerPrepared final : public PreparedCircuit
         }
     }
 
+    std::vector<Instruction>
+    lower(const std::vector<Instruction>& instrs, size_t begin, size_t end,
+          bool) const
+    {
+        return {instrs.begin() + long(begin), instrs.begin() + long(end)};
+    }
+
+    /** Rejects anything outside the Clifford capability set. */
+    Gate
+    resolve(Instruction instr) const
+    {
+        Gate gate;
+        if (!isNamedCliffordGate(instr)) {
+            gate.action = recognizeClifford(instr);
+            QA_REQUIRE_CODE(gate.action.has_value(), ErrorCode::kBadRequest,
+                            "stabilizer backend cannot run "
+                            "non-Clifford gate '" +
+                                instr.name + "'");
+        }
+        gate.instr = std::move(instr);
+        return gate;
+    }
+
+    void
+    apply(State& tableau, const Gate& gate) const
+    {
+        if (gate.action) {
+            tableau.applyClifford(*gate.action, gate.instr.qubits);
+        } else {
+            tableau.applyGate(gate.instr);
+        }
+    }
+
     /** Sample one Pauli per channel per touched qubit (engine order). */
     void
-    applyPauliNoise(StabilizerTableau& tableau, const SuffixOp& op,
-                    Rng& rng) const
+    applyNoise(State& tableau, const Gate& gate, Rng& rng) const
     {
-        const std::vector<PauliChannel>& channels =
-            op.two_q ? chan2_ : chan1_;
-        for (int q : op.qubits) {
-            for (const PauliChannel& channel : channels) {
+        for (int q : gate.instr.qubits) {
+            for (const PauliChannel& channel :
+                 gate.instr.arity() == 1 ? chan1 : chan2) {
                 const size_t pick = rng.discrete(channel.weights);
                 const auto [x, z] = channel.paulis[pick];
                 if (x && z) {
@@ -226,46 +120,18 @@ class StabilizerPrepared final : public PreparedCircuit
     }
 
     int
-    applyReadout(int outcome, Rng& rng) const
+    measure(State& tableau, int q, Rng& rng) const
     {
-        NoiseModel readout;
-        readout.readout_p01 = readout_p01_;
-        readout.readout_p10 = readout_p10_;
-        return applyReadoutError(outcome, readout, rng);
+        return tableau.measure(q, rng);
     }
 
-    StabilizerTableau prefix_;
-    std::string clbits0_;
-    double readout_p01_ = 0.0;
-    double readout_p10_ = 0.0;
-    std::vector<PauliChannel> chan1_;
-    std::vector<PauliChannel> chan2_;
-    std::vector<SuffixOp> suffix_;
-};
-
-class StabilizerSampler final : public ShotSampler
-{
-  public:
-    explicit StabilizerSampler(const StabilizerPrepared& prepared)
-        : prepared_(prepared), scratch_(prepared.prefix())
-    {}
-
-    std::string
-    runOne(Rng& rng) override
+    /** Measure-and-correct, matching Statevector::reset. */
+    void
+    reset(State& tableau, int q, Rng& rng) const
     {
-        return prepared_.runShot(scratch_, rng);
+        if (tableau.measure(q, rng) == 1) tableau.applyX(q);
     }
-
-  private:
-    const StabilizerPrepared& prepared_;
-    StabilizerTableau scratch_;
 };
-
-std::unique_ptr<ShotSampler>
-StabilizerPrepared::makeSampler() const
-{
-    return std::make_unique<StabilizerSampler>(*this);
-}
 
 class StabilizerBackend final : public Backend
 {
@@ -289,8 +155,10 @@ class StabilizerBackend final : public Backend
     prepare(const QuantumCircuit& circuit,
             const SimOptions& options) const override
     {
-        return std::make_shared<StabilizerPrepared>(circuit,
-                                                    options.noise);
+        const NoiseModel* noise = activeNoise(options.noise);
+        return std::make_shared<ShotProgram<StabilizerAdapter>>(
+            circuit, noise, StabilizerAdapter(noise),
+            StabilizerTableau(std::max(circuit.numQubits(), 1)));
     }
 };
 

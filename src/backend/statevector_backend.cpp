@@ -1,13 +1,15 @@
 /**
  * @file
- * The dense statevector engine behind the Backend interface: a thin
- * adapter over sim/engine.hpp's ShotExecutor, so routed runs keep the
- * prefix cache, the terminal-sampling fast path, and the exact RNG
- * draw sequence of runShotsStatevector.
+ * The dense statevector engine behind the Backend interface: a state
+ * adapter for ShotProgram over fused Instructions, with per-trajectory
+ * Kraus noise. The terminal tail is sampled from a SampleTable over the
+ * prefix when nothing stochastic precedes it.
  */
-#include "backend/backend.hpp"
+#include "backend/shot_program.hpp"
 
-#include "sim/engine.hpp"
+#include <cmath>
+
+#include "sim/fusion.hpp"
 
 namespace qa
 {
@@ -17,43 +19,65 @@ namespace backend
 namespace
 {
 
-class StatevectorSampler final : public ShotSampler
+struct StatevectorAdapter
 {
-  public:
-    explicit StatevectorSampler(const ShotExecutor& executor)
-        : executor_(executor), scratch_(executor.makeScratch())
-    {}
+    using State = Statevector;
+    using Gate = Instruction;
 
-    std::string
-    runOne(Rng& rng) override
+    const NoiseModel* noise = nullptr;
+    FusionOptions fusion;
+
+    /**
+     * The prefix never holds a noisy gate (that is where the split
+     * falls), so it always fuses. Replayed gates fuse only without
+     * Kraus noise: a fused gate has a different arity than its inputs,
+     * which would redirect applyNoise to the wrong channel list.
+     */
+    std::vector<Instruction>
+    lower(const std::vector<Instruction>& instrs, size_t begin, size_t end,
+          bool replayed) const
     {
-        return executor_.runOne(rng, scratch_);
+        const bool kraus = noise != nullptr && (!noise->noise_1q.empty() ||
+                                                !noise->noise_2q.empty());
+        if (!fusion.enabled || (replayed && kraus)) {
+            return {instrs.begin() + long(begin), instrs.begin() + long(end)};
+        }
+        return fuseInstructions(instrs, begin, end, fusion).instructions;
     }
 
-  private:
-    const ShotExecutor& executor_;
-    Statevector scratch_;
-};
+    Instruction resolve(Instruction gate) const { return gate; }
 
-class StatevectorPrepared final : public PreparedCircuit
-{
-  public:
-    StatevectorPrepared(const QuantumCircuit& circuit,
-                        const SimOptions& options)
-        : executor_(circuit, options.noise, options.naive,
-                    FusionOptions{options.fusion,
-                                  options.fusion_max_qubits},
-                    options.simd)
-    {}
+    void apply(State& state, const Gate& gate) const { state.applyGate(gate); }
 
-    std::unique_ptr<ShotSampler>
-    makeSampler() const override
+    void
+    applyNoise(State& state, const Gate& gate, Rng& rng) const
     {
-        return std::make_unique<StatevectorSampler>(executor_);
+        if (noise == nullptr) return;
+        const auto& channels =
+            gate.arity() == 1 ? noise->noise_1q : noise->noise_2q;
+        for (int q : gate.qubits) {
+            for (const KrausChannel& channel : channels) {
+                state.applyKrausTrajectory(channel, q, rng);
+            }
+        }
     }
 
-  private:
-    ShotExecutor executor_;
+    int
+    measure(State& state, int q, Rng& rng) const
+    {
+        return state.measure(q, rng);
+    }
+
+    void reset(State& state, int q, Rng& rng) const { state.reset(q, rng); }
+
+    std::vector<double>
+    weights(const State& state) const
+    {
+        const CVector& amps = state.amplitudes();
+        std::vector<double> out(amps.dim());
+        for (size_t i = 0; i < out.size(); ++i) out[i] = std::norm(amps[i]);
+        return out;
+    }
 };
 
 class StatevectorBackend final : public Backend
@@ -78,7 +102,15 @@ class StatevectorBackend final : public Backend
     prepare(const QuantumCircuit& circuit,
             const SimOptions& options) const override
     {
-        return std::make_shared<StatevectorPrepared>(circuit, options);
+        const NoiseModel* noise = activeNoise(options.noise);
+        Statevector initial(circuit.numQubits());
+        initial.setSimd(options.simd);
+        return std::make_shared<ShotProgram<StatevectorAdapter>>(
+            circuit, noise,
+            StatevectorAdapter{
+                noise,
+                FusionOptions{options.fusion, options.fusion_max_qubits}},
+            std::move(initial));
     }
 };
 

@@ -233,7 +233,10 @@ writeAllBounded(int fd, const char* data, size_t len, double timeout_ms)
                 timeout_ms > 0.0 ? timeout_ms : 0.0));
     size_t off = 0;
     while (off < len) {
-        const ssize_t n = ::write(fd, data + off, len - off);
+        // MSG_NOSIGNAL: a peer that hung up is an EPIPE return, not a
+        // process-killing SIGPIPE. Non-socket fds fall back to write.
+        ssize_t n = ::send(fd, data + off, len - off, MSG_NOSIGNAL);
+        if (n < 0 && errno == ENOTSOCK) n = ::write(fd, data + off, len - off);
         if (n > 0) {
             off += size_t(n);
             continue;

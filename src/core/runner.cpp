@@ -158,20 +158,7 @@ runVariantsPolicy(const std::vector<QuantumCircuit>& variants,
     routed.push_back(backend::prepareRun(variants[0], options));
     if (num_variants > 1) {
         SimOptions forced = options;
-        switch (routed[0].choice.backend) {
-          case BackendKind::kStatevector:
-            forced.backend = BackendRequest::kStatevector;
-            break;
-          case BackendKind::kDensityMatrix:
-            forced.backend = BackendRequest::kDensityMatrix;
-            break;
-          case BackendKind::kStabilizer:
-            forced.backend = BackendRequest::kStabilizer;
-            break;
-          case BackendKind::kMps:
-            forced.backend = BackendRequest::kMps;
-            break;
-        }
+        forced.backend = requestFor(routed[0].choice.backend);
         for (size_t v = 1; v < num_variants; ++v) {
             routed.push_back(backend::prepareRun(variants[v], forced));
         }

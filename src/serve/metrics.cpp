@@ -62,13 +62,10 @@ ServiceMetrics::snapshot() const
     snap.shed = shed.load(std::memory_order_relaxed);
     snap.worker_lost = worker_lost.load(std::memory_order_relaxed);
     snap.respawned = respawned.load(std::memory_order_relaxed);
-    snap.backend_statevector =
-        backend_statevector.load(std::memory_order_relaxed);
-    snap.backend_density_matrix =
-        backend_density_matrix.load(std::memory_order_relaxed);
-    snap.backend_stabilizer =
-        backend_stabilizer.load(std::memory_order_relaxed);
-    snap.backend_mps = backend_mps.load(std::memory_order_relaxed);
+    for (size_t k = 0; k < backend_jobs.size(); ++k) {
+        snap.backend_jobs[k] =
+            backend_jobs[k].load(std::memory_order_relaxed);
+    }
     snap.queue_wait = queue_wait.snapshot();
     snap.execute = execute.snapshot();
     return snap;
@@ -106,10 +103,12 @@ MetricsSnapshot::str() const
         << cache_evictions << " entries=" << cache_entries
         << " hit_rate=" << std::fixed << std::setprecision(3)
         << cacheHitRate() << "\n"
-        << "  backends: statevector=" << backend_statevector
-        << " density_matrix=" << backend_density_matrix
-        << " stabilizer=" << backend_stabilizer
-        << " mps=" << backend_mps << "\n";
+        << "  backends:";
+    for (size_t k = 0; k < backend_jobs.size(); ++k) {
+        oss << " " << backendName(BackendKind(k)) << "="
+            << backend_jobs[k];
+    }
+    oss << "\n";
     renderHistogram(oss, "queue_wait", queue_wait);
     renderHistogram(oss, "execute", execute);
     return oss.str();

@@ -12,6 +12,7 @@
 #ifndef QA_SERVE_METRICS_HPP
 #define QA_SERVE_METRICS_HPP
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <string>
@@ -91,11 +92,8 @@ struct MetricsSnapshot
     uint64_t cache_evictions = 0;
     size_t cache_entries = 0;
 
-    /** Executed (non-cache-hit) jobs per resolved simulation backend. */
-    uint64_t backend_statevector = 0;
-    uint64_t backend_density_matrix = 0;
-    uint64_t backend_stabilizer = 0;
-    uint64_t backend_mps = 0;
+    /** Executed (non-cache-hit) jobs, indexed by resolved BackendKind. */
+    std::array<uint64_t, kNumBackendKinds> backend_jobs{};
 
     LatencyHistogramSnapshot queue_wait;
     LatencyHistogramSnapshot execute;
@@ -125,11 +123,8 @@ class ServiceMetrics
     std::atomic<uint64_t> worker_lost{0};
     std::atomic<uint64_t> respawned{0};
 
-    /** Executed jobs per resolved backend (cache hits not counted). */
-    std::atomic<uint64_t> backend_statevector{0};
-    std::atomic<uint64_t> backend_density_matrix{0};
-    std::atomic<uint64_t> backend_stabilizer{0};
-    std::atomic<uint64_t> backend_mps{0};
+    /** Executed jobs per resolved BackendKind (cache hits not counted). */
+    std::array<std::atomic<uint64_t>, kNumBackendKinds> backend_jobs{};
 
     LatencyHistogram queue_wait;
     LatencyHistogram execute;
@@ -138,21 +133,7 @@ class ServiceMetrics
     void
     recordBackend(BackendKind kind)
     {
-        switch (kind) {
-          case BackendKind::kStatevector:
-            backend_statevector.fetch_add(1, std::memory_order_relaxed);
-            break;
-          case BackendKind::kDensityMatrix:
-            backend_density_matrix.fetch_add(1,
-                                             std::memory_order_relaxed);
-            break;
-          case BackendKind::kStabilizer:
-            backend_stabilizer.fetch_add(1, std::memory_order_relaxed);
-            break;
-          case BackendKind::kMps:
-            backend_mps.fetch_add(1, std::memory_order_relaxed);
-            break;
-        }
+        backend_jobs[size_t(kind)].fetch_add(1, std::memory_order_relaxed);
     }
 
     /** Snapshot the counters; queue/cache fields are the caller's. */

@@ -413,12 +413,12 @@ encodeMetrics(const MetricsSnapshot& snapshot)
         << ",\"cache_evictions\":" << snapshot.cache_evictions
         << ",\"cache_entries\":" << snapshot.cache_entries
         << ",\"cache_hit_rate\":" << jsonNumber(snapshot.cacheHitRate())
-        << ",\"backend_jobs\":{"
-        << "\"statevector\":" << snapshot.backend_statevector
-        << ",\"density_matrix\":" << snapshot.backend_density_matrix
-        << ",\"stabilizer\":" << snapshot.backend_stabilizer
-        << ",\"mps\":" << snapshot.backend_mps << "}"
-        << ",";
+        << ",\"backend_jobs\":{";
+    for (size_t k = 0; k < snapshot.backend_jobs.size(); ++k) {
+        oss << (k == 0 ? "" : ",") << "\"" << backendName(BackendKind(k))
+            << "\":" << snapshot.backend_jobs[k];
+    }
+    oss << "},";
     encodeHistogram(oss, "queue_wait_ms", snapshot.queue_wait);
     oss << ",";
     encodeHistogram(oss, "execute_ms", snapshot.execute);

@@ -1,41 +1,7 @@
 #include "sim/engine.hpp"
 
-#include <algorithm>
-#include <cmath>
-
-#include "common/error.hpp"
-#include "sim/result.hpp"
-
 namespace qa
 {
-
-namespace
-{
-
-/** True if the noise model attaches a Kraus channel to this gate. */
-bool
-gateIsNoisy(const Instruction& instr, const NoiseModel& noise)
-{
-    const auto& channels =
-        instr.arity() == 1 ? noise.noise_1q : noise.noise_2q;
-    return !channels.empty();
-}
-
-/** Apply configured noise channels after a gate touching these qubits. */
-void
-applyGateNoise(Statevector& state, const Instruction& instr,
-               const NoiseModel& noise, Rng& rng)
-{
-    const auto& channels =
-        instr.arity() == 1 ? noise.noise_1q : noise.noise_2q;
-    for (int q : instr.qubits) {
-        for (const KrausChannel& channel : channels) {
-            state.applyKrausTrajectory(channel, q, rng);
-        }
-    }
-}
-
-} // namespace
 
 int
 applyReadoutError(int outcome, const NoiseModel& noise, Rng& rng)
@@ -60,198 +26,6 @@ resolveShotThreads(int requested, int shots)
         n = hw == 0 ? 1 : int(hw);
     }
     return std::max(1, std::min(n, shots));
-}
-
-ShotPlan
-analyzeShotPlan(const QuantumCircuit& circuit, const NoiseModel* noise)
-{
-    const bool enabled = noise != nullptr && noise->enabled();
-    ShotPlan plan;
-    plan.kraus_noise = enabled && (!noise->noise_1q.empty() ||
-                                   !noise->noise_2q.empty());
-    plan.readout_noise = enabled && (noise->readout_p01 > 0.0 ||
-                                     noise->readout_p10 > 0.0);
-
-    const auto& instrs = circuit.instructions();
-    plan.split = instrs.size();
-    for (size_t i = 0; i < instrs.size(); ++i) {
-        const Instruction& instr = instrs[i];
-        const bool stochastic =
-            instr.type == OpType::kMeasure ||
-            instr.type == OpType::kReset ||
-            (instr.type == OpType::kGate && enabled &&
-             gateIsNoisy(instr, *noise));
-        if (stochastic) {
-            plan.split = i;
-            break;
-        }
-    }
-
-    plan.terminal_sampling = true;
-    for (size_t i = plan.split; i < instrs.size(); ++i) {
-        const Instruction& instr = instrs[i];
-        if (instr.type == OpType::kBarrier) continue;
-        if (instr.type != OpType::kMeasure) {
-            plan.terminal_sampling = false;
-            plan.terminal_measures.clear();
-            break;
-        }
-        plan.terminal_measures.emplace_back(instr.qubits[0], instr.cbit);
-    }
-    return plan;
-}
-
-SampleTable::SampleTable(const Statevector& state)
-{
-    const CVector& amps = state.amplitudes();
-    cumulative_.resize(amps.dim());
-    double acc = 0.0;
-    for (uint64_t i = 0; i < amps.dim(); ++i) {
-        acc += std::norm(amps[i]);
-        cumulative_[i] = acc;
-    }
-    QA_REQUIRE(acc > 1e-14, "sample table over a zero-mass state");
-}
-
-uint64_t
-SampleTable::sample(Rng& rng) const
-{
-    const double draw = rng.uniform() * cumulative_.back();
-    const auto it =
-        std::upper_bound(cumulative_.begin(), cumulative_.end(), draw);
-    if (it == cumulative_.end()) return uint64_t(cumulative_.size()) - 1;
-    return uint64_t(it - cumulative_.begin());
-}
-
-ShotExecutor::ShotExecutor(const QuantumCircuit& circuit,
-                           const NoiseModel* noise, bool naive,
-                           const FusionOptions& fusion, bool simd)
-    : circuit_(circuit),
-      noise_(noise != nullptr && noise->enabled() ? noise : nullptr),
-      prefix_(circuit.numQubits()),
-      clbits0_(size_t(std::max(circuit.numClbits(), 0)), '0')
-{
-    if (noise_ != nullptr) noise_->validate();
-    prefix_.setSimd(simd);
-
-    // The naive plan (split = 0, no fast path) replays every instruction
-    // per shot: the reference the cached plan must agree with exactly.
-    if (!naive) plan_ = analyzeShotPlan(circuit_, noise_);
-
-    const auto& instrs = circuit_.instructions();
-    const bool fuse = fusion.enabled && !naive;
-
-    // Evolve the deterministic prefix once; every shot clones it. The
-    // prefix contains no stochastic instruction, so per-shot RNG draws
-    // are unaffected by where the split falls. The prefix never holds a
-    // noisy gate (that is where the split falls), so it always fuses.
-    if (fuse) {
-        FusedProgram prog =
-            fuseInstructions(instrs, 0, plan_.split, fusion);
-        for (const Instruction& instr : prog.instructions) {
-            if (instr.type == OpType::kGate) prefix_.applyGate(instr);
-        }
-        stats_ = std::move(prog.stats);
-    } else {
-        for (size_t i = 0; i < plan_.split; ++i) {
-            if (instrs[i].type == OpType::kGate) {
-                prefix_.applyGate(instrs[i]);
-            }
-        }
-    }
-
-    // The per-shot suffix fuses only without Kraus noise: a fused gate
-    // has a different arity than its inputs, which would redirect the
-    // per-gate noise loop to the wrong channel list (noise_1q/noise_2q).
-    if (fuse && !plan_.kraus_noise) {
-        FusedProgram prog =
-            fuseInstructions(instrs, plan_.split, instrs.size(), fusion);
-        suffix_ = std::move(prog.instructions);
-        stats_.merge(prog.stats);
-    } else {
-        suffix_.assign(instrs.begin() + long(plan_.split), instrs.end());
-    }
-
-    if (plan_.terminal_sampling) {
-        table_ = std::make_unique<SampleTable>(prefix_);
-    }
-}
-
-std::string
-ShotExecutor::runOne(Rng& rng, Statevector& scratch) const
-{
-    const int n = circuit_.numQubits();
-    std::string clbits = clbits0_;
-
-    if (plan_.terminal_sampling) {
-        const uint64_t index = table_->sample(rng);
-        for (const auto& [q, c] : plan_.terminal_measures) {
-            int outcome = int((index >> (n - 1 - q)) & 1);
-            if (noise_ != nullptr) {
-                outcome = applyReadoutError(outcome, *noise_, rng);
-            }
-            clbits[size_t(c)] = outcome ? '1' : '0';
-        }
-        return clbits;
-    }
-
-    scratch = prefix_;
-    for (const Instruction& instr : suffix_) {
-        switch (instr.type) {
-          case OpType::kGate:
-            scratch.applyGate(instr);
-            if (noise_ != nullptr) {
-                applyGateNoise(scratch, instr, *noise_, rng);
-            }
-            break;
-          case OpType::kMeasure: {
-            int outcome = scratch.measure(instr.qubits[0], rng);
-            if (noise_ != nullptr) {
-                outcome = applyReadoutError(outcome, *noise_, rng);
-            }
-            clbits[size_t(instr.cbit)] = outcome ? '1' : '0';
-            break;
-          }
-          case OpType::kReset:
-            scratch.reset(instr.qubits[0], rng);
-            break;
-          case OpType::kBarrier:
-            break;
-        }
-    }
-    return clbits;
-}
-
-Counts
-runShotsStatevector(const QuantumCircuit& circuit,
-                    const SimOptions& options)
-{
-    QA_REQUIRE(options.shots > 0, "need a positive shot count");
-    const ShotExecutor executor(
-        circuit, options.noise, options.naive,
-        FusionOptions{options.fusion, options.fusion_max_qubits},
-        options.simd);
-
-    std::vector<Counts> locals;
-    const ShotLoopStatus status = runShotPool(
-        options.shots, options.num_threads, options.deadline_ms, locals,
-        [&]() {
-            // One reusable state buffer per worker; copy-assignment in
-            // runOne reuses its allocation across shots.
-            return [&, scratch = executor.makeScratch()](
-                       int shot, Counts& local) mutable {
-                Rng rng = Rng::forStream(options.seed, uint64_t(shot));
-                ++local.map[executor.runOne(rng, scratch)];
-                ++local.shots;
-            };
-        });
-
-    Counts counts;
-    counts.truncated = status.truncated;
-    for (const Counts& local : locals) mergeCounts(counts, local);
-    QA_REQUIRE(counts.shots == status.completed,
-               "shot pool lost track of completed shots");
-    return counts;
 }
 
 } // namespace qa

@@ -1,170 +1,33 @@
 /**
  * @file
- * Shot-execution engine backing runShots and every shot-level driver
- * built on top of it (the assertion-policy runner, the fault-injection
- * campaign).
+ * The pooled shot loop under every shot-level caller: the backends'
+ * runPrepared (backend/backend.hpp), the assertion-policy runner, and
+ * the fault-injection campaign.
  *
- * Four cooperating layers (see DESIGN.md, "Execution engine"):
- *  1. circuit analysis + prefix caching: the instructions before the
- *     first stochastic point (measurement, reset, or — with an active
- *     noise model — the first gate a Kraus channel applies to) are
- *     shot-invariant, so the prefix state is evolved once and cloned per
- *     shot. When every remaining instruction is a terminal measurement
- *     and no Kraus channel is active, per-shot evolution is skipped
- *     entirely and the final distribution is sampled directly.
- *  2. ShotExecutor: one shot = one call, parameterized only by an RNG
- *     stream, so any driver (plain histogramming, bounded retry,
- *     fault-injection sweeps) can replay shots deterministically.
- *  3. runShotPool: the multi-threaded shot loop with counter-based
- *     per-shot RNG streams (Rng::forStream), first-worker-exception
- *     propagation, and deadline-based cancellation that returns partial
- *     results flagged `truncated` instead of running unbounded.
- *  4. O(log d) sampling from a cumulative-weight table built once per
- *     cached state.
+ * runShotPool runs shot bodies on a worker pool with counter-based
+ * per-shot RNG streams (Rng::forStream), first-worker-exception
+ * propagation, and deadline-based cancellation that returns partial
+ * results flagged `truncated` instead of running unbounded. What one
+ * shot does is the backend's business: backend/shot_program.hpp holds
+ * the one shot plan (prefix caching, suffix replay, terminal sampling)
+ * every backend shares.
  */
 #ifndef QA_SIM_ENGINE_HPP
 #define QA_SIM_ENGINE_HPP
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cstdint>
-#include <memory>
-#include <string>
 #include <thread>
-#include <utility>
 #include <vector>
 
-#include "circuit/circuit.hpp"
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
-#include "sim/fusion.hpp"
 #include "sim/noise.hpp"
 #include "sim/statevector.hpp"
 
 namespace qa
 {
-
-/**
- * Static execution plan for a shot run: where the deterministic prefix
- * ends and whether the terminal-sampling fast path applies.
- */
-struct ShotPlan
-{
-    /** Instructions [0, split) are shot-invariant and evolved once. */
-    size_t split = 0;
-
-    /**
-     * True when every instruction at/after `split` is a measurement or
-     * barrier and no Kraus channel is active: the run reduces to sampling
-     * the cached state's basis distribution, with readout error (if any)
-     * applied classically to the sampled bits.
-     */
-    bool terminal_sampling = false;
-
-    /** (qubit, clbit) pairs of the terminal measurements, in order. */
-    std::vector<std::pair<int, int>> terminal_measures;
-
-    /** True when gate-level Kraus channels are active. */
-    bool kraus_noise = false;
-
-    /** True when classical readout error is active. */
-    bool readout_noise = false;
-};
-
-/**
- * Analyze a circuit against an (optional, possibly disabled) noise
- * model. The prefix ends at the first measurement or reset, or at the
- * first gate one of the model's Kraus channel lists applies to.
- */
-ShotPlan analyzeShotPlan(const QuantumCircuit& circuit,
-                         const NoiseModel* noise);
-
-/**
- * Cumulative-weight table over a state's basis probabilities: built once
- * per cached state, each draw costs one uniform plus an O(log d)
- * std::upper_bound instead of an O(d) prefix scan.
- */
-class SampleTable
-{
-  public:
-    explicit SampleTable(const Statevector& state);
-
-    /** Sample a basis index from the underlying distribution. */
-    uint64_t sample(Rng& rng) const;
-
-  private:
-    std::vector<double> cumulative_;
-};
-
-/**
- * Reusable single-shot executor: circuit analysis and prefix evolution
- * happen once at construction, then each runOne() call executes exactly
- * one shot whose stochastic draws come from the caller's Rng. The
- * executor holds references to the circuit and noise model; both must
- * outlive it. An active noise model is validated at construction
- * (NoiseModel::validate).
- */
-class ShotExecutor
-{
-  public:
-    /**
-     * @param circuit Circuit to execute (kept by reference).
-     * @param noise Optional noise model; ignored when null or disabled.
-     * @param naive Skip circuit analysis and replay every instruction
-     *        per shot (the pre-engine reference path; disables fusion).
-     * @param fusion Gate-fusion knobs. The deterministic prefix always
-     *        fuses when enabled (it contains no noisy gate by
-     *        construction); the per-shot suffix fuses only when no
-     *        Kraus channels are active, because fusion changes gate
-     *        arity and would redirect per-gate noise to the wrong
-     *        channel list.
-     * @param simd Allow the AVX2 kernels for prefix and scratch states.
-     */
-    ShotExecutor(const QuantumCircuit& circuit, const NoiseModel* noise,
-                 bool naive = false, const FusionOptions& fusion = {},
-                 bool simd = true);
-
-    const ShotPlan& plan() const { return plan_; }
-
-    /** What the fusion pass did (prefix + suffix combined). */
-    const FusionStats& fusionStats() const { return stats_; }
-
-    /** The cached deterministic-prefix state. */
-    const Statevector& prefix() const { return prefix_; }
-
-    /**
-     * Scratch state buffer for runOne: one per worker, reused across
-     * shots so copy-assignment recycles its allocation.
-     */
-    Statevector makeScratch() const { return prefix_; }
-
-    /**
-     * Execute one shot, drawing from `rng`, and return the classical
-     * bitstring. Deterministic given the Rng state; thread-safe for
-     * concurrent calls with distinct `scratch` buffers.
-     */
-    std::string runOne(Rng& rng, Statevector& scratch) const;
-
-  private:
-    const QuantumCircuit& circuit_;
-    const NoiseModel* noise_;
-    ShotPlan plan_;
-    Statevector prefix_;
-    std::unique_ptr<SampleTable> table_;
-    std::string clbits0_;
-
-    /** Post-split instructions runOne replays (fused when allowed). */
-    std::vector<Instruction> suffix_;
-    FusionStats stats_;
-};
-
-/**
- * The statevector engine's shot loop: what runShots executes when the
- * router resolves (or the caller forces) the statevector backend.
- * options.backend is ignored here — this IS the statevector backend.
- */
-Counts runShotsStatevector(const QuantumCircuit& circuit,
-                           const SimOptions& options);
 
 /**
  * Flip a recorded measurement outcome with the model's asymmetric

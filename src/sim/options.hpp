@@ -29,6 +29,9 @@ enum class BackendKind
     kMps            ///< Bond-capped matrix product state, O(chi^3) per 2q gate.
 };
 
+/** Number of BackendKind values (for per-kind tables). */
+inline constexpr int kNumBackendKinds = 4;
+
 /** What a caller may ask for: a concrete backend, or automatic routing. */
 enum class BackendRequest
 {
@@ -50,6 +53,19 @@ backendName(BackendKind kind)
       case BackendKind::kMps:           return "mps";
     }
     return "unknown";
+}
+
+/** The explicit request that forces a backend kind. */
+inline BackendRequest
+requestFor(BackendKind kind)
+{
+    switch (kind) {
+      case BackendKind::kStatevector:   return BackendRequest::kStatevector;
+      case BackendKind::kDensityMatrix: return BackendRequest::kDensityMatrix;
+      case BackendKind::kStabilizer:    return BackendRequest::kStabilizer;
+      case BackendKind::kMps:           return BackendRequest::kMps;
+    }
+    return BackendRequest::kAuto;
 }
 
 /** Stable wire/log name of a backend request. */
@@ -150,13 +166,6 @@ struct SimOptions
     int num_threads = defaults::kSimThreads;
 
     /**
-     * Skip circuit analysis and replay every instruction each shot on
-     * the statevector backend (the pre-engine reference path; kept for
-     * tests and benchmarks). Forces statevector routing.
-     */
-    bool naive = false;
-
-    /**
      * Wall-clock budget in milliseconds; <= 0 runs unbounded. When the
      * budget expires mid-run the engine stops cooperatively, joins every
      * worker, and returns the shots completed so far with
@@ -175,8 +184,8 @@ struct SimOptions
     /**
      * Gate fusion for the dense backends (sim/fusion.hpp): coalesce
      * runs of gates sharing <= fusion_max_qubits qubits into single
-     * kernels at prepare time. Off under `naive`, and never applied to
-     * gates that receive per-gate Kraus noise (fusion would change
+     * kernels at prepare time. Never applied to gates that receive
+     * per-gate Kraus noise (fusion would change
      * gate arity and thus which channel list applies). Results equal
      * the unfused evolution up to floating-point reassociation; fixed
      * seeds keep sampled counts bit-identical across thread counts

@@ -104,8 +104,9 @@ class Statevector
  * Routed entry point (backend/dispatch.cpp): options.backend selects a
  * concrete simulation backend, and kAuto picks the cheapest capable one
  * (Clifford circuits run on the stabilizer tableau at polynomial cost;
- * dense circuits fall back to the statevector engine of sim/engine.hpp,
- * whose deterministic prefix is evolved once and cloned per shot).
+ * dense circuits fall back to the statevector engine; every backend
+ * evolves its deterministic prefix once and clones it per shot, see
+ * backend/shot_program.hpp).
  * Results are bit-identical for any thread count on any fixed resolved
  * backend; different backends agree distributionally, not bit-wise.
  */

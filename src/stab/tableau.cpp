@@ -204,9 +204,11 @@ StabilizerTableau::measure(int q, Rng& rng)
     }
 
     if (p >= 0) {
-        // Random outcome: update every other anticommuting row.
+        // Random outcome: update every other anticommuting row. The
+        // destabilizer paired with p anticommutes with it (the product
+        // is not Hermitian) and is overwritten just below, so skip it.
         for (int i = 0; i < 2 * n_; ++i) {
-            if (i != p && x_[i][q]) rowMult(i, p);
+            if (i != p && i != p - n_ && x_[i][q]) rowMult(i, p);
         }
         // Destabilizer p-n becomes the old stabilizer row p.
         x_[p - n_] = x_[p];

@@ -3,9 +3,11 @@
  * Backend subsystem tests: circuit/noise analysis, Pauli-channel
  * recognition, matrix-level Clifford recognition against dense
  * simulation, router capability edges, cross-backend distributional
- * equivalence (chi-square at 4096 shots, deterministic seeds),
- * per-backend bit-determinism across thread counts, resolved-backend
- * cache keys, and insertion-order robustness of the Counts helpers.
+ * equivalence (chi-square at 4096 shots, deterministic seeds), seeded
+ * random Clifford circuits on the stabilizer backend against the exact
+ * distribution, bit-determinism across 1/2/8 threads for every backend,
+ * resolved-backend cache keys, and insertion-order robustness of the
+ * Counts helpers.
  */
 #include <algorithm>
 #include <cmath>
@@ -283,16 +285,6 @@ TEST(RouterTest, MidCircuitMeasurementExcludesDensity)
     EXPECT_EQ(choice.backend, BackendKind::kStatevector);
 }
 
-TEST(RouterTest, NaiveFlagForcesStatevector)
-{
-    SimOptions options;
-    options.naive = true;
-    const BackendChoice choice =
-        backend::routeShots(ghzCircuit(3), options);
-    EXPECT_EQ(choice.backend, BackendKind::kStatevector);
-    EXPECT_TRUE(choice.capable);
-}
-
 TEST(RouterTest, ExplicitRequestIsHonoredAndValidated)
 {
     QuantumCircuit t_circuit(1, 1);
@@ -445,30 +437,174 @@ TEST(CrossBackendTest, DensityMatrixAgreesUnderNonPauliNoise)
     expectSameDistribution(dm, sv);
 }
 
+/** One-sample chi-square of counts against an exact distribution. */
+void
+expectMatchesExact(const Counts& observed, const Distribution& exact)
+{
+    std::vector<long> obs;
+    std::vector<double> expected;
+    for (const auto& [bits, p] : exact.probs) {
+        const auto o = observed.map.find(bits);
+        obs.push_back(o == observed.map.end() ? 0 : long(o->second));
+        expected.push_back(p);
+    }
+    for (const auto& [bits, n] : observed.map) {
+        if (exact.probs.find(bits) == exact.probs.end()) {
+            obs.push_back(long(n));
+            expected.push_back(0.0); // impossible outcome: rejects
+        }
+    }
+    const ChiSquareResult chi = chiSquareTest(obs, expected);
+    EXPECT_GT(chi.p_value, 1e-4)
+        << "off the exact distribution: chi2=" << chi.statistic
+        << " dof=" << chi.dof;
+}
+
+TEST(StabilizerBackendTest, MeasureAfterPhaseAndHadamardRuns)
+{
+    // Regression: measuring q0 of S.H|0> multiplied the pivot row into
+    // its paired destabilizer, a non-Hermitian product, and threw
+    // "stabilizer product left the group" on the auto-routed path.
+    QuantumCircuit qc(1, 1);
+    qc.s(0);
+    qc.h(0);
+    qc.measure(0, 0);
+    SimOptions options;
+    options.shots = 4096;
+    options.seed = 17;
+    EXPECT_EQ(backend::routeShots(qc, options).backend,
+              BackendKind::kStabilizer);
+    expectMatchesExact(runShots(qc, options), exactDistribution(qc));
+}
+
+TEST(StabilizerBackendTest, RandomCliffordCircuitsMatchExactDistribution)
+{
+    // Seeded property: random 1-4 qubit Clifford circuits with
+    // mid-circuit measurement and reset, on the stabilizer backend.
+    Rng rng(2024);
+    for (int trial = 0; trial < 40; ++trial) {
+        const int n = 1 + int(rng.index(4));
+        QuantumCircuit qc(n, n);
+        const int ops = 4 + int(rng.index(12));
+        int stochastic = 0;
+        for (int i = 0; i < ops; ++i) {
+            const int q = int(rng.index(uint64_t(n)));
+            switch (rng.index(7)) {
+              case 0: qc.h(q); break;
+              case 1: qc.s(q); break;
+              case 2: qc.sdg(q); break;
+              case 3: qc.x(q); break;
+              case 4:
+                if (n > 1) {
+                    const int offset = 1 + int(rng.index(uint64_t(n - 1)));
+                    qc.cx(q, (q + offset) % n);
+                }
+                break;
+              case 5:
+                if (stochastic++ < 3) qc.measure(q, q);
+                break;
+              default:
+                if (stochastic++ < 3) qc.reset(q);
+                break;
+            }
+        }
+        qc.measureAll();
+        SCOPED_TRACE("trial " + std::to_string(trial));
+        expectMatchesExact(
+            runOn(BackendKind::kStabilizer, qc, nullptr, 2048),
+            exactDistribution(qc));
+    }
+}
+
 // ---------------------------------------------------------------------
 // Determinism across thread counts (per resolved backend)
 
-TEST(BackendDeterminismTest, StabilizerCountsThreadInvariant)
+/** One backend's thread-invariance case: a circuit and noise it runs. */
+struct ThreadCase
 {
-    const NoiseModel depol = NoiseModel::depolarizing(1e-3, 1e-2);
-    QuantumCircuit qc = ghzCircuit(4);
-    qc.reset(2); // keep a mid-circuit stochastic op in play
-    qc.measureAll();
-    const Counts one = runOn(BackendKind::kStabilizer, qc, &depol, 512, 1);
-    const Counts four = runOn(BackendKind::kStabilizer, qc, &depol, 512, 4);
-    EXPECT_EQ(one.map, four.map);
+    BackendKind kind;
+    QuantumCircuit circuit;
+    NoiseModel noise;
+    int shots;
+};
+
+ThreadCase
+threadCase(BackendKind kind)
+{
+    switch (kind) {
+      case BackendKind::kStatevector: {
+        // Non-Clifford gates, mid-circuit measure and reset, trajectory
+        // and readout noise: every shot replays the whole noisy stream.
+        QuantumCircuit qc(4, 4);
+        for (int q = 0; q < 4; ++q) qc.u3(q, 0.3 * q + 0.1, 0.7, 1.1);
+        qc.cx(0, 1);
+        qc.cx(2, 3);
+        qc.measure(0, 0);
+        qc.reset(1);
+        qc.t(2);
+        qc.cx(1, 2);
+        qc.measureAll();
+        NoiseModel noise = NoiseModel::depolarizing(0.002, 0.01);
+        noise.readout_p01 = 0.015;
+        noise.readout_p10 = 0.035;
+        return {kind, qc, noise, 2048};
+      }
+      case BackendKind::kDensityMatrix:
+        return {kind, ghzCircuit(3), NoiseModel::ibmqMelbourneLike(), 512};
+      case BackendKind::kStabilizer: {
+        QuantumCircuit qc = ghzCircuit(4);
+        qc.reset(2); // keep a mid-circuit stochastic op in play
+        qc.measureAll();
+        return {kind, qc, NoiseModel::depolarizing(1e-3, 1e-2), 512};
+      }
+      case BackendKind::kMps: {
+        // Replayed suffix (measure, reset, gates) ahead of the sampled
+        // terminal tail.
+        QuantumCircuit qc(4, 4);
+        qc.h(0);
+        qc.cx(0, 1);
+        qc.measure(0, 0);
+        qc.reset(0);
+        qc.t(1);
+        qc.cx(1, 2);
+        qc.cx(2, 3);
+        qc.measure(1, 1);
+        qc.measure(2, 2);
+        qc.measure(3, 3);
+        NoiseModel noise;
+        noise.readout_p01 = 0.02;
+        noise.readout_p10 = 0.05;
+        return {kind, qc, noise, 2048};
+      }
+    }
+    return {kind, QuantumCircuit(1, 1), NoiseModel{}, 1};
 }
 
-TEST(BackendDeterminismTest, DensityCountsThreadInvariant)
+class ThreadInvarianceTest : public ::testing::TestWithParam<BackendKind>
+{};
+
+TEST_P(ThreadInvarianceTest, CountsBitIdenticalAt1_2_8Threads)
 {
-    const NoiseModel melbourne = NoiseModel::ibmqMelbourneLike();
-    const QuantumCircuit qc = ghzCircuit(3);
+    const ThreadCase tc = threadCase(GetParam());
     const Counts one =
-        runOn(BackendKind::kDensityMatrix, qc, &melbourne, 512, 1);
-    const Counts four =
-        runOn(BackendKind::kDensityMatrix, qc, &melbourne, 512, 4);
-    EXPECT_EQ(one.map, four.map);
+        runOn(tc.kind, tc.circuit, &tc.noise, tc.shots, 1);
+    EXPECT_EQ(one.shots, tc.shots);
+    for (int threads : {2, 8}) {
+        const Counts many =
+            runOn(tc.kind, tc.circuit, &tc.noise, tc.shots, threads);
+        EXPECT_EQ(one.map, many.map) << threads << " threads";
+        EXPECT_EQ(many.shots, tc.shots);
+    }
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    AllBackends, ThreadInvarianceTest,
+    ::testing::Values(BackendKind::kStatevector,
+                      BackendKind::kDensityMatrix,
+                      BackendKind::kStabilizer, BackendKind::kMps),
+    [](const ::testing::TestParamInfo<BackendKind>& param) {
+        return std::string(backendName(param.param));
+    });
 
 TEST(BackendDeterminismTest, AutoRouteMatchesExplicitBackend)
 {

@@ -1,24 +1,30 @@
 /**
  * @file
- * Shot-execution engine tests: circuit analysis (prefix split rules and
- * the terminal-sampling fast path), bit-exact determinism across thread
- * counts, exact agreement between prefix-cached and naive per-shot
- * execution, the O(log d) sample table, and the sorted
- * basisProbabilities container.
+ * Shot-execution tests: the shared shot plan (prefix split rules and
+ * the terminal tail), bit-exact determinism across thread counts, exact
+ * agreement between the prefix-cached statevector plan and a full
+ * per-shot replay, the O(log d) sample table, the pooled shot loop, and
+ * the sorted basisProbabilities container.
  */
+#include <cmath>
 #include <stdexcept>
 
 #include <gtest/gtest.h>
 
+#include "backend/shot_program.hpp"
 #include "circuit/stdgates.hpp"
 #include "common/error.hpp"
 #include "sim/engine.hpp"
 #include "sim/statevector.hpp"
+#include "test_util.hpp"
 
 namespace qa
 {
 namespace
 {
+
+using backend::analyzeShotPlan;
+using backend::ShotPlan;
 
 /** Layered pseudo-random circuit (no measurements). */
 QuantumCircuit
@@ -60,11 +66,9 @@ TEST(ShotPlanTest, NoiselessTerminalMeasurementIsFastPath)
     qc.measureAll();
     const ShotPlan plan = analyzeShotPlan(qc, nullptr);
     EXPECT_EQ(plan.split, 3u); // first measure (barrier is index 2)
-    EXPECT_TRUE(plan.terminal_sampling);
+    EXPECT_EQ(plan.tail, plan.split); // nothing replayed before the tail
     ASSERT_EQ(plan.terminal_measures.size(), 3u);
     EXPECT_EQ(plan.terminal_measures[0], (std::pair<int, int>{0, 0}));
-    EXPECT_FALSE(plan.kraus_noise);
-    EXPECT_FALSE(plan.readout_noise);
 }
 
 TEST(ShotPlanTest, MidCircuitMeasurementDisablesFastPath)
@@ -76,8 +80,10 @@ TEST(ShotPlanTest, MidCircuitMeasurementDisablesFastPath)
     qc.measure(1, 1);
     const ShotPlan plan = analyzeShotPlan(qc, nullptr);
     EXPECT_EQ(plan.split, 1u);
-    EXPECT_FALSE(plan.terminal_sampling);
-    EXPECT_TRUE(plan.terminal_measures.empty());
+    // The measure/cx suffix must replay; only the last measure is tail.
+    EXPECT_EQ(plan.tail, 3u);
+    ASSERT_EQ(plan.terminal_measures.size(), 1u);
+    EXPECT_EQ(plan.terminal_measures[0], (std::pair<int, int>{1, 1}));
 }
 
 TEST(ShotPlanTest, NoiseModelSplitsAtFirstNoisyGate)
@@ -92,8 +98,13 @@ TEST(ShotPlanTest, NoiseModelSplitsAtFirstNoisyGate)
     const NoiseModel noise = NoiseModel::depolarizing(0.0, 0.05);
     const ShotPlan plan = analyzeShotPlan(qc, &noise);
     EXPECT_EQ(plan.split, 2u);
-    EXPECT_FALSE(plan.terminal_sampling);
-    EXPECT_TRUE(plan.kraus_noise);
+    EXPECT_GT(plan.tail, plan.split); // the noisy cx replays per shot
+
+    // A backend that applies gate noise exactly passes no model: the
+    // whole gate stream is prefix and the tail starts at the split.
+    const ShotPlan exact = analyzeShotPlan(qc, nullptr);
+    EXPECT_EQ(exact.split, 3u);
+    EXPECT_EQ(exact.tail, exact.split);
 }
 
 TEST(ShotPlanTest, ReadoutOnlyNoiseKeepsFastPath)
@@ -107,9 +118,8 @@ TEST(ShotPlanTest, ReadoutOnlyNoiseKeepsFastPath)
     noise.readout_p10 = 0.05;
     const ShotPlan plan = analyzeShotPlan(qc, &noise);
     EXPECT_EQ(plan.split, 2u);
-    EXPECT_TRUE(plan.terminal_sampling);
-    EXPECT_FALSE(plan.kraus_noise);
-    EXPECT_TRUE(plan.readout_noise);
+    EXPECT_EQ(plan.tail, plan.split);
+    EXPECT_EQ(plan.terminal_measures.size(), 2u);
 }
 
 TEST(ShotPlanTest, DisabledNoiseModelIgnored)
@@ -120,7 +130,7 @@ TEST(ShotPlanTest, DisabledNoiseModelIgnored)
     const NoiseModel empty;
     const ShotPlan plan = analyzeShotPlan(qc, &empty);
     EXPECT_EQ(plan.split, 1u);
-    EXPECT_TRUE(plan.terminal_sampling);
+    EXPECT_EQ(plan.tail, plan.split);
 }
 
 TEST(SampleTableTest, MatchesDistribution)
@@ -128,7 +138,11 @@ TEST(SampleTableTest, MatchesDistribution)
     Statevector sv(2);
     sv.applyMatrix(gates::h(), {0});
     sv.applyMatrix(gates::cx(), {0, 1});
-    SampleTable table(sv);
+    std::vector<double> weights;
+    for (size_t i = 0; i < sv.amplitudes().dim(); ++i) {
+        weights.push_back(std::norm(sv.amplitudes()[i]));
+    }
+    const backend::SampleTable table(weights);
     Rng rng(3);
     int ones = 0;
     for (int i = 0; i < 20000; ++i) {
@@ -185,8 +199,8 @@ TEST(EngineTest, TerminalSamplingBitIdenticalAcrossThreadCounts)
 TEST(EngineTest, PrefixCachedAgreesExactlyWithNaive)
 {
     // Mid-circuit measurement, reset, trajectory noise, and readout
-    // error: the cached plan must replay the identical RNG stream the
-    // naive full-replay plan consumes.
+    // error: the cached plan must consume the identical RNG stream a
+    // naive full replay of every instruction does.
     const QuantumCircuit qc = kitchenSink(3);
     NoiseModel noise = NoiseModel::depolarizing(0.001, 0.02);
     noise.readout_p01 = 0.01;
@@ -198,9 +212,8 @@ TEST(EngineTest, PrefixCachedAgreesExactlyWithNaive)
         cached.shots = 1024;
         cached.seed = 5150;
         cached.noise = model;
-        SimOptions naive = cached;
-        naive.naive = true;
-        EXPECT_EQ(runShots(qc, cached).map, runShots(qc, naive).map)
+        EXPECT_EQ(runShots(qc, cached).map,
+                  test::fullReplayCounts(qc, cached).map)
             << (model ? "noisy" : "noiseless");
     }
 }
@@ -406,15 +419,17 @@ TEST(EngineTest, DeadlineTruncationReturnsPartialCounts)
     EXPECT_EQ(full.shots, 64);
 }
 
-TEST(EngineTest, ShotExecutorReplaysOneShotDeterministically)
+TEST(EngineTest, ShotProgramReplaysOneShotDeterministically)
 {
     QuantumCircuit qc = kitchenSink(4);
-    const ShotExecutor executor(qc, nullptr);
-    Statevector scratch = executor.makeScratch();
+    const auto prepared =
+        backend::backendFor(BackendKind::kStatevector)
+            .prepare(qc, SimOptions{});
+    const auto sampler = prepared->makeSampler();
     Rng a = Rng::forStream(9, 3);
-    const std::string first = executor.runOne(a, scratch);
+    const std::string first = sampler->runOne(a);
     Rng b = Rng::forStream(9, 3);
-    const std::string replay = executor.runOne(b, scratch);
+    const std::string replay = sampler->runOne(b);
     EXPECT_EQ(first, replay);
     EXPECT_EQ(first.size(), size_t(qc.numClbits()));
 }

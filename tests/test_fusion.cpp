@@ -14,8 +14,8 @@
 #include <gtest/gtest.h>
 
 #include "backend/backend.hpp"
+#include "backend/shot_program.hpp"
 #include "circuit/stdgates.hpp"
-#include "sim/engine.hpp"
 #include "sim/fusion.hpp"
 #include "sim/kernels.hpp"
 #include "sim/noise.hpp"
@@ -25,6 +25,14 @@ namespace qa
 {
 namespace
 {
+
+/** The statevector backend's shot run, bypassing the router. */
+Counts
+runStatevector(const QuantumCircuit& qc, const SimOptions& options)
+{
+    return backend::backendFor(BackendKind::kStatevector)
+        .runShots(qc, options);
+}
 
 /** Layered pseudo-random 1q+2q circuit (no measurements). */
 QuantumCircuit
@@ -199,15 +207,15 @@ TEST(FusionTest, KrausNoiseKeepsTheNoisyStreamUnfused)
     // With per-gate Kraus channels the engine must replay the raw
     // stream either way, so the trajectories consume identical RNG
     // draws and the counts match bit-for-bit.
-    const Counts a = runShotsStatevector(qc, fused);
-    const Counts b = runShotsStatevector(qc, unfused);
+    const Counts a = runStatevector(qc, fused);
+    const Counts b = runStatevector(qc, unfused);
     EXPECT_EQ(a.map, b.map);
 
-    // And the executor reports that nothing past the split fused.
-    const ShotExecutor executor(qc, &noise, false, FusionOptions{},
-                                true);
-    EXPECT_EQ(executor.plan().split, 0u);
-    EXPECT_EQ(executor.fusionStats().fused_groups, 0u);
+    // Every gate is noisy, so the whole stream is replayed suffix: had
+    // the replay fused, its gate arities (and so the channel lists the
+    // noise draws come from) would differ and the counts above with
+    // them.
+    EXPECT_EQ(backend::analyzeShotPlan(qc, &noise).split, 0u);
 }
 
 TEST(FusionTest, CountsAreBitIdenticalAcrossThreadCounts)
@@ -226,10 +234,10 @@ TEST(FusionTest, CountsAreBitIdenticalAcrossThreadCounts)
     options.seed = 4242;
 
     options.num_threads = 1;
-    const Counts one = runShotsStatevector(qc, options);
+    const Counts one = runStatevector(qc, options);
     for (int threads : {2, 8}) {
         options.num_threads = threads;
-        const Counts many = runShotsStatevector(qc, options);
+        const Counts many = runStatevector(qc, options);
         EXPECT_EQ(one.map, many.map) << threads << " threads";
         EXPECT_EQ(one.shots, many.shots);
     }
@@ -237,7 +245,7 @@ TEST(FusionTest, CountsAreBitIdenticalAcrossThreadCounts)
     // The unfused reference samples the same outcomes for this seed.
     options.num_threads = 1;
     options.fusion = false;
-    EXPECT_EQ(one.map, runShotsStatevector(qc, options).map);
+    EXPECT_EQ(one.map, runStatevector(qc, options).map);
 }
 
 TEST(FusionTest, DensityBackendFusedMatchesUnfused)

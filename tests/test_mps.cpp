@@ -4,7 +4,8 @@
  * core, SWAP routing of long-range gates, truncation accounting at a
  * binding chi cap, cross-backend chi-square equivalence against the
  * statevector engine (GHZ lines, QFT, shallow QAOA, mid-circuit
- * measure/reset, readout noise), bit-determinism across thread counts,
+ * measure/reset, readout noise), bit-determinism across thread counts
+ * (the mid-circuit case runs in test_backend's ThreadInvarianceTest),
  * entanglement-aware router arbitration with typed explicit-override
  * rejection, jobKey chi sensitivity, wire explain fields, and the
  * assertion compiler's typed rejection under backend=mps.
@@ -376,24 +377,6 @@ TEST(MpsBackendTest, BitIdenticalAcrossThreadCounts)
     const Counts two = runOn(BackendKind::kMps, qc, nullptr, 4096, 2);
     const Counts eight = runOn(BackendKind::kMps, qc, nullptr, 4096, 8);
     EXPECT_EQ(one.map, two.map);
-    EXPECT_EQ(one.map, eight.map);
-}
-
-TEST(MpsBackendTest, MidCircuitBitIdenticalAcrossThreadCounts)
-{
-    QuantumCircuit qc(4, 4);
-    qc.h(0);
-    qc.cx(0, 1);
-    qc.measure(0, 0);
-    qc.reset(0);
-    qc.t(1);
-    qc.cx(1, 2);
-    qc.cx(2, 3);
-    qc.measure(1, 1);
-    qc.measure(2, 2);
-    qc.measure(3, 3);
-    const Counts one = runOn(BackendKind::kMps, qc, nullptr, 2048, 1);
-    const Counts eight = runOn(BackendKind::kMps, qc, nullptr, 2048, 8);
     EXPECT_EQ(one.map, eight.map);
 }
 

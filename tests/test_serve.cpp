@@ -694,7 +694,18 @@ TEST(WireTest, EncodesMetricsSnapshots)
     const JsonValue* hist = m->find("execute_ms");
     ASSERT_NE(hist, nullptr);
     EXPECT_GE(hist->find("total")->asInt(), 1);
-    EXPECT_FALSE(scheduler.metrics().str().empty());
+
+    // Per-backend counters, in BackendKind order on both renderings;
+    // the Clifford coin job executed once, on the stabilizer.
+    EXPECT_NE(encodeMetrics(scheduler.metrics())
+                  .find("\"backend_jobs\":{\"statevector\":0,"
+                        "\"density_matrix\":0,\"stabilizer\":1,"
+                        "\"mps\":0},"),
+              std::string::npos);
+    EXPECT_NE(scheduler.metrics().str().find(
+                  "\n  backends: statevector=0 density_matrix=0 "
+                  "stabilizer=1 mps=0\n"),
+              std::string::npos);
 }
 
 // ---------------------------------------------------------------------

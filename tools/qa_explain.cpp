@@ -6,7 +6,7 @@
  *
  * Usage:
  *   qa_explain FILE [--noise none|melbourne|depolarizing]
- *             [--p1 X] [--p2 X] [--shots N] [--backend NAME] [--naive]
+ *             [--p1 X] [--p2 X] [--shots N] [--backend NAME]
  *             [--chi N] [--mps-tol X]
  *             [--auto-assert] [--lowering NAME]
  *
@@ -41,7 +41,7 @@ usage(int code)
     std::cerr << "usage: qa_explain FILE [--noise none|melbourne|"
                  "depolarizing] [--p1 X] [--p2 X]\n"
                  "                  [--shots N] [--backend auto|"
-                 "statevector|density_matrix|stabilizer|mps] [--naive]\n"
+                 "statevector|density_matrix|stabilizer|mps]\n"
                  "                  [--no-fusion] [--fusion-max 1|2|3]\n"
                  "                  [--chi N] [--mps-tol X]\n"
                  "                  [--auto-assert] [--lowering auto|swap|"
@@ -65,7 +65,6 @@ main(int argc, char** argv)
     double p1 = 1e-3, p2 = 1e-2;
     int shots = defaults::kShots;
     BackendRequest request = BackendRequest::kAuto;
-    bool naive = false;
     bool fusion = defaults::kFusion;
     int fusion_max = defaults::kFusionMaxQubits;
     int mps_chi = defaults::kMpsChi;
@@ -101,8 +100,6 @@ main(int argc, char** argv)
                 return 2;
             }
             ++i;
-        } else if (arg == "--naive") {
-            naive = true;
         } else if (arg == "--auto-assert") {
             auto_assert = true;
         } else if (arg == "--lowering") {
@@ -171,7 +168,6 @@ main(int argc, char** argv)
         options.shots = shots;
         options.noise = noise.enabled() ? &noise : nullptr;
         options.backend = request;
-        options.naive = naive;
         options.fusion = fusion;
         options.fusion_max_qubits = fusion_max;
         options.mps_chi = mps_chi;
