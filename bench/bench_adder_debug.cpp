@@ -9,8 +9,6 @@
 #include <cmath>
 #include <iostream>
 
-#include <benchmark/benchmark.h>
-
 #include "algos/adder.hpp"
 #include "algos/qft.hpp"
 #include "bench_util.hpp"
@@ -189,29 +187,13 @@ printLocalization()
                  "buggy rotation.\n";
 }
 
-void
-BM_AdderAssertedRun(benchmark::State& state)
-{
-    const CVector expected =
-        finalState(adderPrefix(2, true, false)).amplitudes();
-    for (auto _ : state) {
-        AssertedProgram prog(adderPrefix(2, true, true));
-        prog.assertState({0, 1, 2, 3, 4}, StateSet::pure(expected),
-                         AssertionDesign::kSwap);
-        benchmark::DoNotOptimize(runAssertedExact(prog));
-    }
-}
-BENCHMARK(BM_AdderAssertedRun)->Unit(benchmark::kMillisecond);
-
 } // namespace
 
 int
-main(int argc, char** argv)
+main()
 {
     printFunctionalCheck();
     printAssertionDetection();
     printLocalization();
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
 }

@@ -10,8 +10,6 @@
 #include <iostream>
 #include <map>
 
-#include <benchmark/benchmark.h>
-
 #include "algos/deutsch_jozsa.hpp"
 #include "algos/states.hpp"
 #include "bench_util.hpp"
@@ -110,30 +108,11 @@ printSelection()
               << " -- no design dominates every family (Sec. VI).\n";
 }
 
-void
-BM_AutoSelection(benchmark::State& state)
-{
-    Rng rng(4);
-    const StateSet set = StateSet::pure(randomState(int(state.range(0)),
-                                                    rng));
-    for (auto _ : state) {
-        AssertedProgram prog(QuantumCircuit(set.numQubits()));
-        std::vector<int> qubits;
-        for (int q = 0; q < set.numQubits(); ++q) qubits.push_back(q);
-        prog.assertState(qubits, set, AssertionDesign::kAuto);
-        benchmark::DoNotOptimize(prog.slots()[0].design);
-    }
-}
-BENCHMARK(BM_AutoSelection)->Arg(2)->Arg(3)->Arg(4)
-    ->Unit(benchmark::kMillisecond);
-
 } // namespace
 
 int
-main(int argc, char** argv)
+main()
 {
     printSelection();
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
 }

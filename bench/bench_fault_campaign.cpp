@@ -9,8 +9,6 @@
  */
 #include <iostream>
 
-#include <benchmark/benchmark.h>
-
 #include "algos/adder.hpp"
 #include "algos/deutsch_jozsa.hpp"
 #include "algos/states.hpp"
@@ -116,47 +114,12 @@ printLocalizationTable()
     std::cout << table.render();
 }
 
-void
-BM_CampaignGhz4Swap(benchmark::State& state)
-{
-    const CampaignRunner runner = CampaignRunner::assertingFinalState(
-        ghzPrep(4), AssertionDesign::kSwap);
-    CampaignOptions options;
-    options.kinds = kAllKinds;
-    for (auto _ : state) {
-        const CampaignReport report = runner.run(options);
-        benchmark::DoNotOptimize(report.num_detected);
-    }
-}
-BENCHMARK(BM_CampaignGhz4Swap)->Unit(benchmark::kMillisecond);
-
-void
-BM_CampaignGhz4SampledParallel(benchmark::State& state)
-{
-    const CampaignRunner runner = CampaignRunner::assertingFinalState(
-        ghzPrep(4), AssertionDesign::kSwap);
-    CampaignOptions options;
-    options.kinds = {FaultKind::kPauliX, FaultKind::kPauliZ};
-    options.shots = 2048;
-    options.num_threads = int(state.range(0));
-    for (auto _ : state) {
-        const CampaignReport report = runner.run(options);
-        benchmark::DoNotOptimize(report.num_detected);
-    }
-}
-BENCHMARK(BM_CampaignGhz4SampledParallel)
-    ->Arg(1)
-    ->Arg(4)
-    ->Unit(benchmark::kMillisecond);
-
 } // namespace
 
 int
-main(int argc, char** argv)
+main()
 {
     printCampaignTables();
     printLocalizationTable();
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
 }

@@ -10,8 +10,6 @@
 #include <cmath>
 #include <iostream>
 
-#include <benchmark/benchmark.h>
-
 #include "algos/deutsch_jozsa.hpp"
 #include "bench_util.hpp"
 #include "common/format.hpp"
@@ -139,25 +137,12 @@ printFigure17()
                  "(Sec. X / Appendix C).\n";
 }
 
-void
-BM_DjAssertedRun(benchmark::State& state)
-{
-    const StateSet set = StateSet::approximate(djConstantSet(2));
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(
-            runDj(DjOracle::kBuggyAnd, 0, set, 9));
-    }
-}
-BENCHMARK(BM_DjAssertedRun)->Unit(benchmark::kMillisecond);
-
 } // namespace
 
 int
-main(int argc, char** argv)
+main()
 {
     printTable4();
     printFigure17();
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
 }

@@ -15,8 +15,6 @@
 #include <cmath>
 #include <iostream>
 
-#include <benchmark/benchmark.h>
-
 #include "algos/states.hpp"
 #include "bench_util.hpp"
 #include "common/format.hpp"
@@ -92,26 +90,11 @@ printFigure1()
                  "ladder.\n";
 }
 
-void
-BM_BuildVariant(benchmark::State& state)
-{
-    const auto all = variants();
-    const Variant& v = all[size_t(state.range(0))];
-    for (auto _ : state) {
-        AssertedProgram prog(ghzPrep(3));
-        prog.assertState(v.qubits, v.set, v.design);
-        benchmark::DoNotOptimize(prog.circuit().size());
-    }
-}
-BENCHMARK(BM_BuildVariant)->DenseRange(0, 4);
-
 } // namespace
 
 int
-main(int argc, char** argv)
+main()
 {
     printFigure1();
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
 }

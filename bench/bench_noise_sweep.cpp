@@ -14,8 +14,6 @@
 #include <cmath>
 #include <iostream>
 
-#include <benchmark/benchmark.h>
-
 #include "algos/qpe.hpp"
 #include "bench_util.hpp"
 #include "common/format.hpp"
@@ -126,32 +124,12 @@ printRepetitionSweep()
                  "as a fidelity/overhead trade.\n";
 }
 
-void
-BM_NoiseSweepPoint(benchmark::State& state)
-{
-    NoiseModel noise =
-        NoiseModel::depolarizing(0.002, 0.02);
-    AssertedProgram prog(qpeRyProgram(4, kTheta, false));
-    prog.assertState({4}, StateSet::pure(qpeRyEigenstate()),
-                     AssertionDesign::kSwap);
-    SimOptions options;
-    options.shots = int(state.range(0));
-    options.seed = 5;
-    options.noise = &noise;
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(runAsserted(prog, options));
-    }
-}
-BENCHMARK(BM_NoiseSweepPoint)->Arg(512)->Unit(benchmark::kMillisecond);
-
 } // namespace
 
 int
-main(int argc, char** argv)
+main()
 {
     printErrorRateSweep();
     printRepetitionSweep();
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
 }

@@ -16,8 +16,6 @@
 #include <cmath>
 #include <iostream>
 
-#include <benchmark/benchmark.h>
-
 #include "algos/qpe.hpp"
 #include "baselines/primitives.hpp"
 #include "bench_util.hpp"
@@ -207,24 +205,6 @@ printSuccessRates(const NoiseModel& noise)
                  "EXPERIMENTS.md.\n";
 }
 
-void
-BM_NoisyShots(benchmark::State& state)
-{
-    const NoiseModel noise = NoiseModel::ibmqMelbourneLike();
-    AssertedProgram prog(qpeRyProgram(4, kTheta, false));
-    prog.assertState({4}, StateSet::pure(qpeRyEigenstate()),
-                     AssertionDesign::kSwap);
-    SimOptions options;
-    options.shots = int(state.range(0));
-    options.seed = 3;
-    options.noise = &noise;
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(runAsserted(prog, options));
-    }
-}
-BENCHMARK(BM_NoisyShots)->Arg(256)->Arg(1024)
-    ->Unit(benchmark::kMillisecond);
-
 } // namespace
 
 /**
@@ -245,12 +225,10 @@ heavyNoise()
 }
 
 int
-main(int argc, char** argv)
+main()
 {
     const NoiseModel noise = heavyNoise();
     printErrorRates(noise);
     printSuccessRates(noise);
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
 }

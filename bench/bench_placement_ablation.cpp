@@ -9,8 +9,6 @@
 #include <cmath>
 #include <iostream>
 
-#include <benchmark/benchmark.h>
-
 #include "algos/states.hpp"
 #include "bench_util.hpp"
 #include "common/format.hpp"
@@ -92,26 +90,11 @@ printAblation()
                  "2 per swapped qubit).\n";
 }
 
-void
-BM_PlacementBuild(benchmark::State& state)
-{
-    const auto placement = static_cast<SwapPlacement>(state.range(0));
-    const StateSet set = StateSet::pure(ghzVector(4));
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(
-            estimateAssertionCost(set, AssertionDesign::kSwap,
-                                  placement));
-    }
-}
-BENCHMARK(BM_PlacementBuild)->DenseRange(0, 3);
-
 } // namespace
 
 int
-main(int argc, char** argv)
+main()
 {
     printAblation();
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
 }

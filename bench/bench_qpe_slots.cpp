@@ -10,8 +10,6 @@
 #include <cmath>
 #include <iostream>
 
-#include <benchmark/benchmark.h>
-
 #include "algos/qpe.hpp"
 #include "bench_util.hpp"
 #include "common/format.hpp"
@@ -147,26 +145,12 @@ printMixedAndApproximate()
                  "catches both bugs below the precise cost.\n";
 }
 
-void
-BM_QpeSlotAssertion(benchmark::State& state)
-{
-    const int slot = int(state.range(0));
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(
-            slotError(QpeBug::kFixedAngle, slot, AssertionDesign::kSwap));
-    }
-}
-BENCHMARK(BM_QpeSlotAssertion)->Arg(1)->Arg(3)->Arg(6)
-    ->Unit(benchmark::kMillisecond);
-
 } // namespace
 
 int
-main(int argc, char** argv)
+main()
 {
     printSlotTable();
     printMixedAndApproximate();
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
 }

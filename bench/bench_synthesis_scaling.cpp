@@ -9,8 +9,6 @@
 #include <cmath>
 #include <iostream>
 
-#include <benchmark/benchmark.h>
-
 #include "bench_util.hpp"
 #include "common/format.hpp"
 #include "core/asserted_program.hpp"
@@ -75,49 +73,11 @@ printScaling()
     std::cout << structured.render();
 }
 
-void
-BM_StatePrep(benchmark::State& state)
-{
-    Rng rng(int(state.range(0)));
-    const CVector psi = randomState(int(state.range(0)), rng);
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(prepareState(psi).size());
-    }
-}
-BENCHMARK(BM_StatePrep)->DenseRange(2, 7);
-
-void
-BM_GenericUnitarySynthesis(benchmark::State& state)
-{
-    Rng rng(int(state.range(0)));
-    const CMatrix u = randomUnitary(size_t(1) << state.range(0), rng);
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(synthesizeUnitary(u).size());
-    }
-}
-BENCHMARK(BM_GenericUnitarySynthesis)->DenseRange(1, 4)
-    ->Unit(benchmark::kMillisecond);
-
-void
-BM_PeepholeOptimize(benchmark::State& state)
-{
-    Rng rng(17);
-    const CVector psi = randomState(int(state.range(0)), rng);
-    const QuantumCircuit prep = prepareState(psi);
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(optimizeAndLower(prep).size());
-    }
-}
-BENCHMARK(BM_PeepholeOptimize)->Arg(3)->Arg(5)
-    ->Unit(benchmark::kMillisecond);
-
 } // namespace
 
 int
-main(int argc, char** argv)
+main()
 {
     printScaling();
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
 }

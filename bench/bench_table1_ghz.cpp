@@ -3,13 +3,10 @@
  * Table I reproduction: assertion coverage and circuit cost for the GHZ
  * state across the six assertion schemes, against the paper's Bug1
  * (swapped u2 arguments -> sign-flipped coefficient) and Bug2 (reordered
- * CX chain -> wrong entanglement), plus google-benchmark timings of
- * assertion-circuit construction.
+ * CX chain -> wrong entanglement).
  */
 #include <cmath>
 #include <iostream>
-
-#include <benchmark/benchmark.h>
 
 #include "algos/states.hpp"
 #include "baselines/stat_assertion.hpp"
@@ -104,36 +101,11 @@ printTable1()
                  "SWAP precise T/T, SWAP mixed F/T, NDD approx T/T\n";
 }
 
-void
-BM_BuildSwapPreciseGhz(benchmark::State& state)
-{
-    const StateSet set = StateSet::pure(ghzVector(int(state.range(0))));
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(
-            estimateAssertionCost(set, AssertionDesign::kSwap));
-    }
-}
-BENCHMARK(BM_BuildSwapPreciseGhz)->Arg(3)->Arg(4)->Arg(5);
-
-void
-BM_RunAssertedGhzExact(benchmark::State& state)
-{
-    AssertedProgram prog(ghzPrep(3));
-    prog.assertState({0, 1, 2}, StateSet::pure(ghzVector(3)),
-                     AssertionDesign::kSwap);
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(runAssertedExact(prog));
-    }
-}
-BENCHMARK(BM_RunAssertedGhzExact);
-
 } // namespace
 
 int
-main(int argc, char** argv)
+main()
 {
     printTable1();
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
 }

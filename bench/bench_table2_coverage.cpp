@@ -10,8 +10,6 @@
 #include <iostream>
 #include <optional>
 
-#include <benchmark/benchmark.h>
-
 #include "algos/states.hpp"
 #include "baselines/primitives.hpp"
 #include "baselines/stat_assertion.hpp"
@@ -177,31 +175,11 @@ printTable2()
                  "Stat/Primitive cover the first rows only.\n";
 }
 
-void
-BM_CoverageCheckArbitraryPure(benchmark::State& state)
-{
-    Rng rng(55);
-    const CVector good = randomState(int(state.range(0)), rng);
-    const StateSet set = StateSet::pure(good);
-    for (auto _ : state) {
-        AssertedProgram prog(prepareState(good));
-        std::vector<int> qubits;
-        for (int q = 0; q < prog.numProgramQubits(); ++q) {
-            qubits.push_back(q);
-        }
-        prog.assertState(qubits, set, AssertionDesign::kSwap);
-        benchmark::DoNotOptimize(runAssertedExact(prog));
-    }
-}
-BENCHMARK(BM_CoverageCheckArbitraryPure)->Arg(2)->Arg(3)->Arg(4);
-
 } // namespace
 
 int
-main(int argc, char** argv)
+main()
 {
     printTable2();
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
 }

@@ -8,8 +8,6 @@
 #include <cmath>
 #include <iostream>
 
-#include <benchmark/benchmark.h>
-
 #include "algos/states.hpp"
 #include "bench_util.hpp"
 #include "common/format.hpp"
@@ -127,37 +125,11 @@ printTable3()
                  "best for this family.\n";
 }
 
-void
-BM_EstimateCostSeparable(benchmark::State& state)
-{
-    Rng rng(5);
-    const StateSet set =
-        StateSet::pure(separableState(int(state.range(0)), rng));
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(
-            estimateAssertionCost(set, AssertionDesign::kSwap));
-    }
-}
-BENCHMARK(BM_EstimateCostSeparable)->Arg(2)->Arg(4)->Arg(6);
-
-void
-BM_EstimateCostParityNdd(benchmark::State& state)
-{
-    const StateSet set = parityFamily(int(state.range(0)));
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(
-            estimateAssertionCost(set, AssertionDesign::kNdd));
-    }
-}
-BENCHMARK(BM_EstimateCostParityNdd)->Arg(3)->Arg(5);
-
 } // namespace
 
 int
-main(int argc, char** argv)
+main()
 {
     printTable3();
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
 }

@@ -11,6 +11,12 @@
  * UserErrors additionally carry an ErrorCode so machine consumers (the
  * fault-injection campaign runner, policy drivers, CI harnesses) can
  * classify failures without parsing message text.
+ *
+ * A UserError carries its message only: the service ships that text to
+ * clients, so it must not name the library's source files. An
+ * InternalError appends ` [src/<module>/<file>.cpp:<line>]` (the build
+ * strips the checkout prefix from __FILE__) to locate the broken
+ * invariant.
  */
 #ifndef QA_COMMON_ERROR_HPP
 #define QA_COMMON_ERROR_HPP
@@ -80,24 +86,13 @@ class InternalError : public std::logic_error
 namespace detail
 {
 
-/** Builds the exception message with file/line context and throws. */
-template <typename Exc>
+/** Throws InternalError with the failing invariant's source location. */
 [[noreturn]] inline void
-throwWithContext(const char* file, int line, const std::string& msg)
+throwInternal(const char* file, int line, const std::string& msg)
 {
     std::ostringstream oss;
     oss << msg << " [" << file << ":" << line << "]";
-    throw Exc(oss.str());
-}
-
-/** UserError variant preserving the machine-readable code. */
-[[noreturn]] inline void
-throwUserWithContext(const char* file, int line, ErrorCode code,
-                     const std::string& msg)
-{
-    std::ostringstream oss;
-    oss << msg << " [" << file << ":" << line << "]";
-    throw UserError(oss.str(), code);
+    throw InternalError(oss.str());
 }
 
 } // namespace detail
@@ -108,8 +103,7 @@ throwUserWithContext(const char* file, int line, ErrorCode code,
 #define QA_REQUIRE(cond, msg)                                               \
     do {                                                                    \
         if (!(cond)) {                                                      \
-            ::qa::detail::throwWithContext<::qa::UserError>(                \
-                __FILE__, __LINE__, std::string(msg));                      \
+            throw ::qa::UserError(std::string(msg));                        \
         }                                                                   \
     } while (0)
 
@@ -117,8 +111,7 @@ throwUserWithContext(const char* file, int line, ErrorCode code,
 #define QA_REQUIRE_CODE(cond, code, msg)                                    \
     do {                                                                    \
         if (!(cond)) {                                                      \
-            ::qa::detail::throwUserWithContext(__FILE__, __LINE__, (code),  \
-                                               std::string(msg));           \
+            throw ::qa::UserError(std::string(msg), (code));                \
         }                                                                   \
     } while (0)
 
@@ -126,19 +119,15 @@ throwUserWithContext(const char* file, int line, ErrorCode code,
 #define QA_ASSERT(cond, msg)                                                \
     do {                                                                    \
         if (!(cond)) {                                                      \
-            ::qa::detail::throwWithContext<::qa::InternalError>(            \
-                __FILE__, __LINE__, std::string(msg));                      \
+            ::qa::detail::throwInternal(__FILE__, __LINE__,                 \
+                                        std::string(msg));                  \
         }                                                                   \
     } while (0)
 
 /** Unconditionally throw qa::UserError with a streamed message. */
-#define QA_FAIL(msg)                                                        \
-    ::qa::detail::throwWithContext<::qa::UserError>(                        \
-        __FILE__, __LINE__, std::string(msg))
+#define QA_FAIL(msg) throw ::qa::UserError(std::string(msg))
 
 /** QA_FAIL carrying a machine-readable ErrorCode. */
-#define QA_FAIL_CODE(code, msg)                                             \
-    ::qa::detail::throwUserWithContext(__FILE__, __LINE__, (code),          \
-                                       std::string(msg))
+#define QA_FAIL_CODE(code, msg) throw ::qa::UserError(std::string(msg), (code))
 
 #endif // QA_COMMON_ERROR_HPP

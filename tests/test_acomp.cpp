@@ -18,15 +18,16 @@
 #include "acomp/generator.hpp"
 #include "acomp/lowering.hpp"
 #include "acomp/run.hpp"
+#include "algos/qft.hpp"
 #include "algos/states.hpp"
 #include "backend/backend.hpp"
-#include "baselines/chi_square.hpp"
 #include "circuit/qasm.hpp"
 #include "common/error.hpp"
 #include "serve/job.hpp"
 #include "serve/wire.hpp"
 #include "stab/observables.hpp"
 #include "synth/pauli_gadget.hpp"
+#include "test_util.hpp"
 
 namespace qa
 {
@@ -201,80 +202,116 @@ TEST(PauliGadgetTest, NegativePhaseGeneratorKeepsZeroMeansPass)
     EXPECT_DOUBLE_EQ(counts.fractionAllZero({1}), 0.0);
 }
 
-/** Compile the measured GHZ-3 with one end-of-prep site under `req`. */
-CompiledProgram
-compileGhz3(LoweringRequest req, bool fault = false)
+/**
+ * A guarded GHZ workload: GHZ-n preparation, an assertion site at the
+ * end of the prep, an optional QFT suffix (non-Clifford, so the
+ * instrumented circuit leaves the stabilizer backend), and terminal
+ * measurement.
+ */
+struct GhzWorkload
 {
-    QuantumCircuit qc(3, 3);
+    int n = 3;
+    bool qft = false;
+};
+
+const GhzWorkload kGhzCatalog[] = {{3, false}, {6, false}, {10, false},
+                                   {6, true}};
+
+std::string
+workloadName(const GhzWorkload& w)
+{
+    return "ghz" + std::to_string(w.n) + (w.qft ? "_qft" : "");
+}
+
+/** The workload's program; `site_pos` receives the site position. */
+QuantumCircuit
+ghzProgram(const GhzWorkload& w, bool fault, size_t* site_pos)
+{
+    QuantumCircuit qc(w.n, w.n);
     qc.h(0);
-    qc.cx(0, 1);
-    qc.cx(1, 2);
+    for (int q = 0; q + 1 < w.n; ++q) qc.cx(q, q + 1);
     if (fault) qc.x(1);
-    const size_t site_pos = qc.instructions().size();
-    for (int q = 0; q < 3; ++q) qc.measure(q, q);
+    *site_pos = qc.instructions().size();
+    if (w.qft) {
+        std::vector<int> qubits;
+        for (int q = 0; q < w.n; ++q) qubits.push_back(q);
+        appendQft(qc, qubits);
+    }
+    for (int q = 0; q < w.n; ++q) qc.measure(q, q);
+    return qc;
+}
+
+/** Compile the workload with its one end-of-prep site under `req`. */
+CompiledProgram
+compileGhz(LoweringRequest req, const GhzWorkload& w = {},
+           bool fault = false)
+{
+    size_t site_pos = 0;
+    const QuantumCircuit qc = ghzProgram(w, fault, &site_pos);
     AcompOptions opts;
     opts.lowering = req;
-    return compileAssertions(qc, {ghzSite(3, site_pos)}, opts);
+    return compileAssertions(qc, {ghzSite(w.n, site_pos)}, opts);
 }
 
 TEST(AcompCompilerTest, FormsMatchTheRequestAndBudget)
 {
-    const CompiledProgram pauli = compileGhz3(LoweringRequest::kPauliMeasure);
-    ASSERT_EQ(pauli.slots.size(), 1u);
-    EXPECT_EQ(pauli.slots[0].form, LoweringForm::kPauliMeasure);
-    EXPECT_TRUE(pauli.slots[0].ancillas.empty());
-    EXPECT_EQ(pauli.slots[0].generators, 3);
-    EXPECT_EQ(pauli.variants.size(), 1u);
-    EXPECT_EQ(pauli.slots[0].clbits.size(), 3u);
+    for (const GhzWorkload& w : kGhzCatalog) {
+        SCOPED_TRACE(workloadName(w));
+        const CompiledProgram pauli =
+            compileGhz(LoweringRequest::kPauliMeasure, w);
+        ASSERT_EQ(pauli.slots.size(), 1u);
+        EXPECT_EQ(pauli.slots[0].form, LoweringForm::kPauliMeasure);
+        EXPECT_TRUE(pauli.slots[0].ancillas.empty());
+        EXPECT_EQ(pauli.slots[0].generators, w.n);
+        EXPECT_EQ(pauli.variants.size(), 1u);
+        EXPECT_EQ(pauli.slots[0].clbits.size(), size_t(w.n));
 
-    const CompiledProgram swap = compileGhz3(LoweringRequest::kSwap);
-    ASSERT_EQ(swap.slots.size(), 1u);
-    EXPECT_EQ(swap.slots[0].form, LoweringForm::kSwap);
-    EXPECT_FALSE(swap.slots[0].ancillas.empty());
-    EXPECT_TRUE(swap.repair_supported);
+        const CompiledProgram swap = compileGhz(LoweringRequest::kSwap, w);
+        ASSERT_EQ(swap.slots.size(), 1u);
+        EXPECT_EQ(swap.slots[0].form, LoweringForm::kSwap);
+        EXPECT_FALSE(swap.slots[0].ancillas.empty());
+        EXPECT_TRUE(swap.repair_supported);
 
-    const CompiledProgram sample = compileGhz3(LoweringRequest::kPauliSample);
-    ASSERT_EQ(sample.slots.size(), 1u);
-    EXPECT_EQ(sample.slots[0].form, LoweringForm::kPauliSample);
-    EXPECT_EQ(sample.variants.size(), 3u); // one generator per variant
-    EXPECT_EQ(sample.slots[0].sub_circuits, 3);
-    EXPECT_EQ(sample.slots[0].clbits.size(), 1u);
+        const CompiledProgram sample =
+            compileGhz(LoweringRequest::kPauliSample, w);
+        ASSERT_EQ(sample.slots.size(), 1u);
+        EXPECT_EQ(sample.slots[0].form, LoweringForm::kPauliSample);
+        // One generator per variant.
+        EXPECT_EQ(sample.variants.size(), size_t(w.n));
+        EXPECT_EQ(sample.slots[0].sub_circuits, w.n);
+        EXPECT_EQ(sample.slots[0].clbits.size(), 1u);
 
-    // Clifford program + stabilizer-expressible slot: the cost model
-    // picks the ancilla-free Pauli form on its own.
-    const CompiledProgram autod = compileGhz3(LoweringRequest::kAuto);
-    EXPECT_EQ(autod.slots[0].form, LoweringForm::kPauliMeasure);
+        // Stabilizer-expressible slot: the cost model picks the
+        // ancilla-free Pauli form on its own, even before a QFT.
+        const CompiledProgram autod = compileGhz(LoweringRequest::kAuto, w);
+        EXPECT_EQ(autod.slots[0].form, LoweringForm::kPauliMeasure);
+        EXPECT_TRUE(autod.slots[0].ancillas.empty());
+    }
 }
 
 TEST(AcompCompilerTest, CrossFormVerdictsAreChiSquareEquivalent)
 {
-    // 4096 shots of the clean GHZ-3 under all three forms: every form
-    // must accept every shot, and the accepted program histograms must
-    // all be consistent with the ideal 50/50 split.
-    for (LoweringRequest req :
-         {LoweringRequest::kSwap, LoweringRequest::kPauliMeasure,
-          LoweringRequest::kPauliSample}) {
-        const CompiledProgram compiled = compileGhz3(req);
-        SimOptions options;
-        options.shots = 4096;
-        options.seed = 1234;
-        const PolicyOutcome out = runLowered(compiled, options);
-        EXPECT_DOUBLE_EQ(out.pass_rate, 1.0)
-            << loweringRequestName(req);
-        ASSERT_EQ(out.slot_error_rate.size(), 1u);
-        EXPECT_DOUBLE_EQ(out.slot_error_rate[0], 0.0);
-
-        const long zeros = out.program_counts.map.count("000")
-                               ? out.program_counts.map.at("000")
-                               : 0;
-        const long ones = out.program_counts.map.count("111")
-                              ? out.program_counts.map.at("111")
-                              : 0;
-        EXPECT_EQ(zeros + ones, out.program_counts.shots)
-            << loweringRequestName(req);
-        const ChiSquareResult chi =
-            chiSquareTest({zeros, ones}, {0.5, 0.5});
-        EXPECT_GT(chi.p_value, 1e-4) << loweringRequestName(req);
+    // 4096 shots of each clean workload under all three forms: every
+    // form must accept every shot, and the accepted program histograms
+    // must match the unasserted program's exact distribution.
+    for (const GhzWorkload& w : kGhzCatalog) {
+        size_t site_pos = 0;
+        const Distribution exact =
+            exactDistribution(ghzProgram(w, false, &site_pos));
+        for (LoweringRequest req :
+             {LoweringRequest::kSwap, LoweringRequest::kPauliMeasure,
+              LoweringRequest::kPauliSample}) {
+            SCOPED_TRACE(workloadName(w) + " " + loweringRequestName(req));
+            SimOptions options;
+            options.shots = 4096;
+            options.seed = 1234;
+            const PolicyOutcome out = runLowered(compileGhz(req, w), options);
+            EXPECT_DOUBLE_EQ(out.pass_rate, 1.0);
+            ASSERT_EQ(out.slot_error_rate.size(), 1u);
+            EXPECT_DOUBLE_EQ(out.slot_error_rate[0], 0.0);
+            EXPECT_EQ(out.program_counts.shots, 4096);
+            test::expectMatchesExact(out.program_counts, exact.probs);
+        }
     }
 }
 
@@ -290,22 +327,22 @@ TEST(AcompCompilerTest, EveryFormDetectsAnInjectedPauliFault)
     options.seed = 77;
 
     const PolicyOutcome pauli = runLowered(
-        compileGhz3(LoweringRequest::kPauliMeasure, true), options);
+        compileGhz(LoweringRequest::kPauliMeasure, {}, true), options);
     EXPECT_DOUBLE_EQ(pauli.slot_error_rate[0], 1.0);
 
     const PolicyOutcome sampled = runLowered(
-        compileGhz3(LoweringRequest::kPauliSample, true), options);
+        compileGhz(LoweringRequest::kPauliSample, {}, true), options);
     EXPECT_GT(sampled.slot_error_rate[0], 0.25);
 
     const PolicyOutcome swap = runLowered(
-        compileGhz3(LoweringRequest::kSwap, true), options);
+        compileGhz(LoweringRequest::kSwap, {}, true), options);
     EXPECT_GT(swap.slot_error_rate[0], 0.3);
 }
 
 TEST(AcompCompilerTest, MultiVariantRunsAreThreadCountDeterministic)
 {
     const CompiledProgram compiled =
-        compileGhz3(LoweringRequest::kPauliSample);
+        compileGhz(LoweringRequest::kPauliSample);
     for (BackendRequest backend :
          {BackendRequest::kAuto, BackendRequest::kStatevector}) {
         SimOptions base;

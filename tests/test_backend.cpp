@@ -25,6 +25,7 @@
 #include "stab/clifford.hpp"
 #include "stab/tableau.hpp"
 #include "synth/state_prep.hpp"
+#include "test_util.hpp"
 
 namespace qa
 {
@@ -35,6 +36,7 @@ using namespace algos;
 using backend::analyzeCircuit;
 using backend::BackendChoice;
 using backend::CircuitClass;
+using test::expectMatchesExact;
 
 /** GHZ state preparation with terminal measurement of every qubit. */
 QuantumCircuit
@@ -45,6 +47,23 @@ ghzCircuit(int n)
     for (int q = 0; q + 1 < n; ++q) qc.cx(q, q + 1);
     qc.measureAll();
     return qc;
+}
+
+/**
+ * GHZ-n preparation with a SWAP assertion of the {|00>, |11>} marginal
+ * on qubits {0, 1}, then terminal measurement: n+1 qubits with a
+ * mid-circuit measure and reset, and Clifford throughout.
+ */
+AssertedProgram
+assertedGhz(int n)
+{
+    AssertedProgram prog(prepareState(ghzVector(n)));
+    prog.assertState({0, 1},
+                     StateSet::approximate({CVector::basisState(4, 0),
+                                            CVector::basisState(4, 3)}),
+                     AssertionDesign::kSwap);
+    prog.measureProgram();
+    return prog;
 }
 
 /**
@@ -227,12 +246,17 @@ TEST(CliffordActionTest, RecognizedGatesMatchDenseEvolution)
 
 TEST(RouterTest, CliffordCircuitRoutesToStabilizer)
 {
-    const BackendChoice choice =
-        backend::routeShots(ghzCircuit(4), SimOptions{});
-    EXPECT_EQ(choice.backend, BackendKind::kStabilizer);
-    EXPECT_TRUE(choice.capable);
-    EXPECT_FALSE(choice.explicit_request);
-    EXPECT_EQ(choice.klass, CircuitClass::kClifford);
+    // The asserted GHZ-20 is 21 qubits with a mid-circuit measure and
+    // reset: too wide to replay densely per shot, and still Clifford.
+    const AssertedProgram ghz20 = assertedGhz(20);
+    for (const QuantumCircuit& qc : {ghzCircuit(4), ghz20.circuit()}) {
+        SCOPED_TRACE(std::to_string(qc.numQubits()) + " qubits");
+        const BackendChoice choice = backend::routeShots(qc, SimOptions{});
+        EXPECT_EQ(choice.backend, BackendKind::kStabilizer);
+        EXPECT_TRUE(choice.capable);
+        EXPECT_FALSE(choice.explicit_request);
+        EXPECT_EQ(choice.klass, CircuitClass::kClifford);
+    }
 }
 
 TEST(RouterTest, TGateFallsBackToStatevector)
@@ -437,29 +461,6 @@ TEST(CrossBackendTest, DensityMatrixAgreesUnderNonPauliNoise)
     expectSameDistribution(dm, sv);
 }
 
-/** One-sample chi-square of counts against an exact distribution. */
-void
-expectMatchesExact(const Counts& observed, const Distribution& exact)
-{
-    std::vector<long> obs;
-    std::vector<double> expected;
-    for (const auto& [bits, p] : exact.probs) {
-        const auto o = observed.map.find(bits);
-        obs.push_back(o == observed.map.end() ? 0 : long(o->second));
-        expected.push_back(p);
-    }
-    for (const auto& [bits, n] : observed.map) {
-        if (exact.probs.find(bits) == exact.probs.end()) {
-            obs.push_back(long(n));
-            expected.push_back(0.0); // impossible outcome: rejects
-        }
-    }
-    const ChiSquareResult chi = chiSquareTest(obs, expected);
-    EXPECT_GT(chi.p_value, 1e-4)
-        << "off the exact distribution: chi2=" << chi.statistic
-        << " dof=" << chi.dof;
-}
-
 TEST(StabilizerBackendTest, MeasureAfterPhaseAndHadamardRuns)
 {
     // Regression: measuring q0 of S.H|0> multiplied the pivot row into
@@ -474,7 +475,23 @@ TEST(StabilizerBackendTest, MeasureAfterPhaseAndHadamardRuns)
     options.seed = 17;
     EXPECT_EQ(backend::routeShots(qc, options).backend,
               BackendKind::kStabilizer);
-    expectMatchesExact(runShots(qc, options), exactDistribution(qc));
+    expectMatchesExact(runShots(qc, options), exactDistribution(qc).probs);
+}
+
+TEST(StabilizerBackendTest, AssertedGhzMatchesExactDistribution)
+{
+    // The assertion reads 0 on every branch, so the exact enumeration
+    // has two leaves (all zeros, all ones) over 13 clbits.
+    const AssertedProgram ghz12 = assertedGhz(12);
+    const QuantumCircuit& qc = ghz12.circuit();
+    SimOptions options;
+    options.shots = 4096;
+    options.seed = 20260806;
+    ASSERT_EQ(backend::routeShots(qc, options).backend,
+              BackendKind::kStabilizer);
+    const Distribution exact = exactDistribution(qc);
+    EXPECT_EQ(exact.probs.size(), 2u);
+    expectMatchesExact(runShots(qc, options), exact.probs);
 }
 
 TEST(StabilizerBackendTest, RandomCliffordCircuitsMatchExactDistribution)
@@ -512,7 +529,7 @@ TEST(StabilizerBackendTest, RandomCliffordCircuitsMatchExactDistribution)
         SCOPED_TRACE("trial " + std::to_string(trial));
         expectMatchesExact(
             runOn(BackendKind::kStabilizer, qc, nullptr, 2048),
-            exactDistribution(qc));
+            exactDistribution(qc).probs);
     }
 }
 

@@ -25,14 +25,23 @@ TEST(ErrorTest, MacrosThrowTypedExceptions)
     EXPECT_THROW(QA_REQUIRE(false, "user precondition"), UserError);
     EXPECT_THROW(QA_ASSERT(false, "internal invariant"), InternalError);
     EXPECT_NO_THROW(QA_REQUIRE(true, "ok"));
+    // User errors reach clients verbatim, so they name no source file;
+    // internal errors keep a checkout-relative location.
     try {
         QA_FAIL("specific message");
         FAIL() << "QA_FAIL must throw";
     } catch (const UserError& e) {
-        EXPECT_NE(std::string(e.what()).find("specific message"),
-                  std::string::npos);
-        EXPECT_NE(std::string(e.what()).find("test_common.cpp"),
-                  std::string::npos);
+        EXPECT_EQ(std::string(e.what()),
+                  "qassert user error: specific message");
+    }
+    try {
+        QA_ASSERT(false, "broken invariant");
+        FAIL() << "QA_ASSERT must throw";
+    } catch (const InternalError& e) {
+        EXPECT_NE(std::string(e.what()).find(
+                      "broken invariant [tests/test_common.cpp:"),
+                  std::string::npos)
+            << e.what();
     }
 }
 

@@ -4,7 +4,8 @@
  * core, SWAP routing of long-range gates, truncation accounting at a
  * binding chi cap, cross-backend chi-square equivalence against the
  * statevector engine (GHZ lines, QFT, shallow QAOA, mid-circuit
- * measure/reset, readout noise), bit-determinism across thread counts
+ * measure/reset including an asserted Trotter chain, readout noise),
+ * bit-determinism across thread counts
  * (the mid-circuit case runs in test_backend's ThreadInvarianceTest),
  * entanglement-aware router arbitration with typed explicit-override
  * rejection, jobKey chi sensitivity, wire explain fields, and the
@@ -22,13 +23,14 @@
 #include "algos/states.hpp"
 #include "backend/backend.hpp"
 #include "backend/router.hpp"
-#include "baselines/chi_square.hpp"
 #include "circuit/stdgates.hpp"
 #include "common/error.hpp"
+#include "core/asserted_program.hpp"
 #include "mps/mps_state.hpp"
 #include "serve/job.hpp"
 #include "sim/statevector.hpp"
 #include "serve/wire.hpp"
+#include "test_util.hpp"
 
 namespace qa
 {
@@ -36,12 +38,13 @@ namespace
 {
 
 using backend::BackendChoice;
+using test::expectMatchesExact;
 
-/** Non-Clifford Trotterized Ising chain (line topology), measured. */
+/** Non-Clifford Trotterized Ising chain (line topology), unmeasured. */
 QuantumCircuit
-trotterChain(int n, int layers)
+trotterGates(int n, int layers, int clbits)
 {
-    QuantumCircuit qc(n, n);
+    QuantumCircuit qc(n, clbits);
     for (int q = 0; q < n; ++q) qc.rx(q, 0.30 + 0.01 * q);
     for (int l = 0; l < layers; ++l) {
         for (int q = 0; q + 1 < n; ++q) {
@@ -51,8 +54,33 @@ trotterChain(int n, int layers)
         }
         for (int q = 0; q < n; ++q) qc.rx(q, 0.21);
     }
+    return qc;
+}
+
+/** The Trotter chain with terminal measurement. */
+QuantumCircuit
+trotterChain(int n, int layers)
+{
+    QuantumCircuit qc = trotterGates(n, layers, n);
     qc.measureAll();
     return qc;
+}
+
+/**
+ * The Trotter chain with a SWAP assertion that its last two qubits lie
+ * in the {|00>, |11>} subspace (one ancilla at chain site n, mid-circuit
+ * measure and reset), then terminal measurement of the chain.
+ */
+AssertedProgram
+assertedTrotterChain(int n, int layers)
+{
+    AssertedProgram prog(trotterGates(n, layers, 0));
+    prog.assertState({n - 2, n - 1},
+                     StateSet::approximate({CVector::basisState(4, 0),
+                                            CVector::basisState(4, 3)}),
+                     AssertionDesign::kSwap);
+    prog.measureProgram();
+    return prog;
 }
 
 /** GHZ line with terminal measurement. */
@@ -167,30 +195,6 @@ exactClbitDistribution(const QuantumCircuit& qc, double p01 = 0.0,
         ideal = std::move(next);
     }
     return ideal;
-}
-
-/** One-sample chi-square of observed counts against exact probabilities. */
-void
-expectMatchesExact(const Counts& observed,
-                   const std::map<std::string, double>& probs)
-{
-    std::vector<long> obs;
-    std::vector<double> expected;
-    for (const auto& [bits, p] : probs) {
-        const auto o = observed.map.find(bits);
-        obs.push_back(o == observed.map.end() ? 0 : long(o->second));
-        expected.push_back(p);
-    }
-    for (const auto& [bits, n] : observed.map) {
-        if (probs.find(bits) == probs.end()) {
-            obs.push_back(long(n));
-            expected.push_back(0.0); // impossible cell: rejects strongly
-        }
-    }
-    const ChiSquareResult chi = chiSquareTest(obs, expected);
-    EXPECT_GT(chi.p_value, 1e-4)
-        << "distribution off exact: chi2=" << chi.statistic
-        << " dof=" << chi.dof;
 }
 
 Counts
@@ -334,10 +338,17 @@ TEST(MpsBackendTest, MidCircuitMeasureResetMatchesStatevector)
     qc.measure(2, 2);
     qc.measure(3, 3);
     qc.measure(4, 4);
-    const auto exact = exactClbitDistribution(qc);
-    expectMatchesExact(runOn(BackendKind::kMps, qc, nullptr), exact);
-    expectMatchesExact(runOn(BackendKind::kStatevector, qc, nullptr),
-                       exact);
+    // The asserted 10-qubit Trotter chain puts its ancilla at chain site
+    // 10; the assertion's measure and reset sit mid-circuit.
+    const AssertedProgram trotter = assertedTrotterChain(10, 2);
+    for (const QuantumCircuit& circuit : {qc, trotter.circuit()}) {
+        SCOPED_TRACE(std::to_string(circuit.numQubits()) + " qubits");
+        const auto exact = exactClbitDistribution(circuit);
+        expectMatchesExact(runOn(BackendKind::kMps, circuit, nullptr),
+                           exact);
+        expectMatchesExact(
+            runOn(BackendKind::kStatevector, circuit, nullptr), exact);
+    }
 }
 
 TEST(MpsBackendTest, ReadoutNoiseMatchesStatevector)
@@ -416,18 +427,26 @@ TEST(MpsBackendTest, TruncationErrorSurfacedByPreparedCircuit)
 
 TEST(RouterMpsTest, WideTrotterChainAutoRoutesToMps)
 {
+    // The asserted chains add an ancilla with a mid-circuit measure and
+    // reset, which ends every terminal fast path.
     SimOptions options;
     options.shots = 4096;
-    const QuantumCircuit qc = trotterChain(32, 2);
-    const BackendChoice choice = backend::routeShots(qc, options);
-    EXPECT_EQ(choice.backend, BackendKind::kMps);
-    EXPECT_FALSE(choice.explicit_request);
-    EXPECT_TRUE(choice.capable);
-    EXPECT_GE(choice.mps_chi, 2);
-    EXPECT_GT(choice.mps_ent_width, 0);
-    EXPECT_EQ(choice.mps_trunc_bound, 0.0);
-    EXPECT_NE(choice.reason.find("MPS"), std::string::npos)
-        << choice.reason;
+    const AssertedProgram asserted32 = assertedTrotterChain(32, 2);
+    const AssertedProgram asserted40 = assertedTrotterChain(40, 2);
+    for (const QuantumCircuit& qc :
+         {trotterChain(32, 2), asserted32.circuit(),
+          asserted40.circuit()}) {
+        SCOPED_TRACE(std::to_string(qc.numQubits()) + " qubits");
+        const BackendChoice choice = backend::routeShots(qc, options);
+        EXPECT_EQ(choice.backend, BackendKind::kMps);
+        EXPECT_FALSE(choice.explicit_request);
+        EXPECT_TRUE(choice.capable);
+        EXPECT_GE(choice.mps_chi, 2);
+        EXPECT_GT(choice.mps_ent_width, 0);
+        EXPECT_EQ(choice.mps_trunc_bound, 0.0);
+        EXPECT_NE(choice.reason.find("MPS"), std::string::npos)
+            << choice.reason;
+    }
 }
 
 TEST(RouterMpsTest, WideTrotterChainExecutesExactly)

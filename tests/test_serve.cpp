@@ -25,6 +25,7 @@
 #include "serve/cache.hpp"
 #include "serve/job.hpp"
 #include "serve/json.hpp"
+#include "serve/listen.hpp"
 #include "serve/metrics.hpp"
 #include "serve/scheduler.hpp"
 #include "serve/wire.hpp"
@@ -749,6 +750,28 @@ TEST(WireTest, ErrorResponsesCarryRetryAfterHints)
     const std::string bare =
         encodeError("j2", ErrorCode::kShedding, "shedding");
     EXPECT_EQ(bare.find("retry_after_ms"), std::string::npos);
+}
+
+TEST(WireTest, ErrorMessagesNameNoSourceFiles)
+{
+    // A rejected request's message reaches the client verbatim, so it
+    // must not carry the library's source locations or build paths.
+    SchedulerOptions options;
+    options.workers = 1;
+    Scheduler scheduler(options);
+    LineService service(scheduler, nullptr, LineService::Options{});
+    std::string response;
+    service.handleLine(
+        R"({"id":"bad","qasm":"OPENQASM 2.0;\nqreg q[1];\nfoo q[0];\n"})",
+        [&](const std::string& line) { response = line; });
+    scheduler.stop();
+
+    const JsonValue parsed = JsonValue::parse(response);
+    EXPECT_EQ(parsed.stringOr("code", ""), "qasm_syntax");
+    const std::string message = parsed.stringOr("message", "");
+    EXPECT_NE(message.find("foo"), std::string::npos) << message;
+    EXPECT_EQ(message.find(".cpp:"), std::string::npos) << message;
+    EXPECT_EQ(message.find('/'), std::string::npos) << message;
 }
 
 TEST(WireTest, SchedulerHintsMatchBreakerAndQueueState)

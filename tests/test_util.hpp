@@ -5,10 +5,13 @@
 #ifndef QA_TESTS_TEST_UTIL_HPP
 #define QA_TESTS_TEST_UTIL_HPP
 
+#include <map>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "baselines/chi_square.hpp"
 #include "linalg/matrix.hpp"
 #include "linalg/vector.hpp"
 #include "sim/engine.hpp"
@@ -96,6 +99,50 @@ fullReplayCounts(const QuantumCircuit& qc, const SimOptions& options)
         ++counts.shots;
     }
     return counts;
+}
+
+/**
+ * One-sample chi-square of observed counts against exact outcome
+ * probabilities (p > 1e-4). Outcomes expected fewer than 5 times are
+ * pooled into one tail cell, the usual condition for the chi-square
+ * approximation: a workload with hundreds of rare outcomes otherwise
+ * fails correct samplers on about one seed in five. An observed outcome
+ * the exact distribution lacks is an impossible cell and rejects
+ * strongly.
+ */
+inline void
+expectMatchesExact(const Counts& observed,
+                   const std::map<std::string, double>& probs)
+{
+    std::vector<long> obs;
+    std::vector<double> expected;
+    long tail_obs = 0;
+    double tail_p = 0.0;
+    for (const auto& [bits, p] : probs) {
+        const auto o = observed.map.find(bits);
+        const long n = o == observed.map.end() ? 0 : long(o->second);
+        if (p * double(observed.shots) < 5.0) {
+            tail_obs += n;
+            tail_p += p;
+            continue;
+        }
+        obs.push_back(n);
+        expected.push_back(p);
+    }
+    if (tail_p > 0.0) {
+        obs.push_back(tail_obs);
+        expected.push_back(tail_p);
+    }
+    for (const auto& [bits, n] : observed.map) {
+        if (probs.find(bits) == probs.end()) {
+            obs.push_back(long(n));
+            expected.push_back(0.0);
+        }
+    }
+    const ChiSquareResult chi = chiSquareTest(obs, expected);
+    EXPECT_GT(chi.p_value, 1e-4)
+        << "distribution off exact: chi2=" << chi.statistic
+        << " dof=" << chi.dof;
 }
 
 } // namespace test

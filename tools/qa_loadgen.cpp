@@ -9,7 +9,7 @@
  * operator actually sees.
  *
  * Workload model:
- *  - **Zipf circuit popularity** (--zipf S over --circuits M): a few
+ *  - **Zipf circuit popularity** (s = 1.1 over --circuits M): a few
  *    hot circuits dominate, the tail is cold — the distribution that
  *    makes result-cache affinity matter, since only a shard that keeps
  *    seeing the same hot key benefits from its cache.
@@ -27,8 +27,7 @@
  *
  * Exit code is non-zero when any request went unanswered (lost) or the
  * wire saw duplicate response ids — the loadgen doubles as the fleet's
- * exactly-once checker. Results are emitted as one JSON line on stdout
- * (and appended to --out PATH when given) for BENCH_PR7.json.
+ * exactly-once checker. Results are emitted as one JSON line on stdout.
  *
  * --digest adds a "digest" field: a 128-bit order-independent hash of
  * every response's *deterministic* payload (timing fields queue_ms /
@@ -47,7 +46,6 @@
 #include <condition_variable>
 #include <csignal>
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <mutex>
 #include <sstream>
@@ -130,6 +128,9 @@ catalogQasm(size_t i)
     }
     return qasm.str();
 }
+
+/** Zipf exponent of the circuit popularity (reported as "zipf"). */
+constexpr double kZipfS = 1.1;
 
 /** Zipf(s) sampler over [0, n) via inverse CDF on a prefix-sum table. */
 class ZipfSampler
@@ -217,10 +218,8 @@ main(int argc, char** argv)
     std::string target_cmd = "qassertd";
     std::string mode = "closed";
     std::string label;
-    std::string out_path;
     size_t jobs = 200;
     size_t circuits = 32;
-    double zipf_s = 1.1;
     int concurrency = 8;
     double rate = 100.0;
     int burst = 4;
@@ -245,19 +244,11 @@ main(int argc, char** argv)
             if (value == nullptr) return 2;
             label = value;
             ++i;
-        } else if (arg == "--out") {
-            if (value == nullptr) return 2;
-            out_path = value;
-            ++i;
         } else if (arg == "--jobs") {
             jobs = size_t(parsePositiveArg(arg, value));
             ++i;
         } else if (arg == "--circuits") {
             circuits = size_t(parsePositiveArg(arg, value));
-            ++i;
-        } else if (arg == "--zipf") {
-            if (value == nullptr) return 2;
-            zipf_s = std::atof(value);
             ++i;
         } else if (arg == "--concurrency") {
             concurrency = parsePositiveArg(arg, value);
@@ -291,14 +282,13 @@ main(int argc, char** argv)
             std::cerr
                 << "usage: qa_loadgen [--target-cmd CMD] [--mode "
                    "closed|open]\n"
-                   "                  [--jobs N] [--circuits M] [--zipf "
-                   "S] [--shots N]\n"
+                   "                  [--jobs N] [--circuits M] "
+                   "[--shots N]\n"
                    "                  [--concurrency C | --rate R "
                    "--burst B]\n"
                    "                  [--kill-shard K --kill-after N]"
                    " [--digest]\n"
-                   "                  [--label S] [--out PATH] [--seed "
-                   "N]\n";
+                   "                  [--label S] [--seed N]\n";
             return 0;
         } else {
             std::cerr << "qa_loadgen: unknown option '" << arg << "'\n";
@@ -314,7 +304,7 @@ main(int argc, char** argv)
 
     // Pre-build the request catalog: deterministic, and out of the
     // timed path.
-    const ZipfSampler sampler(circuits, zipf_s);
+    const ZipfSampler sampler(circuits, kZipfS);
     std::vector<std::string> catalog(circuits);
     for (size_t i = 0; i < circuits; ++i) {
         catalog[i] = "\"qasm\":\"" + serve::jsonEscape(catalogQasm(i)) +
@@ -489,7 +479,7 @@ main(int argc, char** argv)
     result << "{\"label\":\"" << serve::jsonEscape(label)
            << "\",\"mode\":\"" << mode << "\",\"jobs\":" << jobs
            << ",\"circuits\":" << circuits << ",\"zipf\":"
-           << serve::jsonNumber(zipf_s) << ",\"shots\":" << shots
+           << serve::jsonNumber(kZipfS) << ",\"shots\":" << shots
            << ",\"concurrency\":" << concurrency
            << ",\"rate\":" << serve::jsonNumber(rate)
            << ",\"burst\":" << burst << ",\"answered\":" << answered
@@ -517,10 +507,6 @@ main(int argc, char** argv)
     }
     result << "}";
     std::cout << result.str() << "\n";
-    if (!out_path.empty()) {
-        std::ofstream out(out_path, std::ios::app);
-        out << result.str() << "\n";
-    }
 
     if (lost > 0 || duplicates > 0) {
         std::cerr << "qa_loadgen: FAILED — " << lost << " lost, "
