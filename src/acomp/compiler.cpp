@@ -33,42 +33,6 @@ siteWhere(const AssertionSite& site, size_t index)
     return oss.str();
 }
 
-/** The unitary-design dispatch of core/asserted_program.cpp. */
-QuantumCircuit
-buildUnitaryFragment(const CorrectSubspace& subspace,
-                     AssertionDesign design, SwapPlacement placement,
-                     const BuildContext& ctx)
-{
-    switch (design) {
-      case AssertionDesign::kSwap:
-        return buildSwapAssertion(subspace, ctx, placement);
-      case AssertionDesign::kOr:
-        return buildOrAssertion(subspace, ctx);
-      case AssertionDesign::kNdd:
-        return buildNddAssertion(subspace, ctx);
-      default:
-        break;
-    }
-    QA_FAIL("acomp lowers to swap/or/ndd unitary designs only");
-}
-
-AssertionPlan
-planUnitary(const CorrectSubspace& subspace, AssertionDesign design,
-            SwapPlacement placement)
-{
-    switch (design) {
-      case AssertionDesign::kSwap:
-        return planSwapAssertion(subspace, placement);
-      case AssertionDesign::kOr:
-        return planOrAssertion(subspace);
-      case AssertionDesign::kNdd:
-        return planNddAssertion(subspace);
-      default:
-        break;
-    }
-    QA_FAIL("acomp lowers to swap/or/ndd unitary designs only");
-}
-
 AssertionDesign
 designFor(LoweringForm form)
 {
@@ -155,36 +119,23 @@ costUnitary(const AssertionSite& site, const CorrectSubspace& subspace,
     Candidate cand;
     cand.form = form;
     try {
-        cand.plan = planUnitary(subspace, designFor(form), placement);
-        BuildContext ctx;
-        ctx.total_qubits = raw_qubits + cand.plan.num_ancillas;
-        ctx.total_clbits = cand.plan.num_clbits;
-        ctx.qubits = site.qubits;
-        for (int a = 0; a < cand.plan.num_ancillas; ++a) {
-            ctx.ancillas.push_back(raw_qubits + a);
-        }
-        for (int c = 0; c < cand.plan.num_clbits; ++c) {
-            ctx.clbits.push_back(c);
-        }
-        for (int q = 0; q < raw_qubits; ++q) {
-            if (!std::count(site.qubits.begin(), site.qubits.end(), q)) {
-                ctx.free_qubits.push_back(q);
-            }
-        }
-        const QuantumCircuit frag = buildUnitaryFragment(
-            subspace, designFor(form), placement, ctx);
-        const CircuitCost cost = circuitCost(frag);
-        cand.gates = cost.cx + cost.sg + cost.measure;
-        cand.cx = cost.cx;
+        const CostedAssertion costed =
+            costAssertion(subspace, designFor(form), placement,
+                          site.qubits, raw_qubits);
+        cand.plan = costed.plan;
+        cand.gates = costed.cost.cx + costed.cost.sg + costed.cost.measure;
+        cand.cx = costed.cost.cx;
         cand.ancillas = cand.plan.num_ancillas;
         const bool clifford =
             raw_clifford &&
-            backend::analyzeCircuit(frag).non_clifford_gates == 0;
+            backend::analyzeCircuit(costed.fragment).non_clifford_gates ==
+                0;
         const BackendKind kind = weighKind(request, clifford);
         if (kind == BackendKind::kMps) {
             // The MPS chain lowers arity-3 gadget gates but nothing
             // wider; a form that needs them cannot serve this backend.
-            for (const Instruction& instr : frag.instructions()) {
+            for (const Instruction& instr :
+                 costed.fragment.instructions()) {
                 if (instr.isGate() && instr.arity() > 3) {
                     return std::nullopt;
                 }
@@ -358,8 +309,7 @@ resolveSite(const AssertionSite& site, size_t index,
 /** Emit one slot's fragment into a variant; fills the summary at v=0. */
 void
 emitSlot(QuantumCircuit& variant, const ResolvedSlot& slot, size_t v,
-         int raw_qubits, int ancilla_pool, SwapPlacement placement,
-         SlotSummary* summary)
+         int raw_qubits, SwapPlacement placement, SlotSummary* summary)
 {
     const AssertionSite& site = *slot.site;
     variant.barrier();
@@ -381,27 +331,18 @@ emitSlot(QuantumCircuit& variant, const ResolvedSlot& slot, size_t v,
       case LoweringForm::kSwap:
       case LoweringForm::kOr:
       case LoweringForm::kNdd: {
-        BuildContext ctx;
-        ctx.total_qubits = variant.numQubits();
-        ctx.total_clbits = variant.numClbits();
-        ctx.qubits = site.qubits;
+        std::vector<int> ancillas;
         for (int a = 0; a < slot.plan.num_ancillas; ++a) {
-            ctx.ancillas.push_back(raw_qubits + a);
+            ancillas.push_back(raw_qubits + a);
         }
-        for (int c = 0; c < slot.plan.num_clbits; ++c) {
-            ctx.clbits.push_back(slot.clbit_base + c);
-        }
-        for (int q = 0; q < raw_qubits; ++q) {
-            if (!std::count(site.qubits.begin(), site.qubits.end(),
-                            q)) {
-                ctx.free_qubits.push_back(q);
-            }
-        }
-        const QuantumCircuit frag = buildUnitaryFragment(
-            *slot.subspace, designFor(slot.form), placement, ctx);
+        const BuildContext ctx =
+            slotLayout(site.qubits, raw_qubits, std::move(ancillas),
+                       slot.clbit_base, slot.plan.num_clbits);
+        const QuantumCircuit frag = buildAssertion(
+            *slot.subspace, designFor(slot.form), ctx, placement);
         std::vector<int> qmap, cmap;
-        for (int q = 0; q < variant.numQubits(); ++q) qmap.push_back(q);
-        for (int c = 0; c < variant.numClbits(); ++c) cmap.push_back(c);
+        for (int q = 0; q < frag.numQubits(); ++q) qmap.push_back(q);
+        for (int c = 0; c < frag.numClbits(); ++c) cmap.push_back(c);
         variant.compose(frag, qmap, cmap);
         // Reset before the next slot reuses the pool (measured
         // ancillas hold classical junk).
@@ -409,7 +350,6 @@ emitSlot(QuantumCircuit& variant, const ResolvedSlot& slot, size_t v,
         break;
       }
     }
-    (void)ancilla_pool;
 
     if (summary != nullptr) {
         summary->form = slot.form;
@@ -496,7 +436,7 @@ compileAssertions(const QuantumCircuit& raw,
             while (cursor < slots.size() &&
                    slots[cursor].site->position == i) {
                 emitSlot(variant, slots[cursor], v, raw.numQubits(),
-                         ancilla_pool, opts.placement,
+                         opts.placement,
                          v == 0 ? &summaries[cursor] : nullptr);
                 ++cursor;
             }

@@ -27,7 +27,7 @@ namespace qa
 namespace backend
 {
 
-/** Coarse circuit classification for routing and `--explain` output. */
+/** Coarse circuit classification for routing and qa_explain output. */
 enum class CircuitClass
 {
     kClifford,        ///< every gate is Clifford

@@ -115,14 +115,12 @@ class DensityBackend final : public Backend
         QA_REQUIRE(circuit.numQubits() <= kMaxQubits,
                    "density-matrix backend supports at most " +
                        std::to_string(kMaxQubits) + " qubits");
-        DensityState initial(circuit.numQubits());
-        initial.setSimd(options.simd);
         return std::make_shared<ShotProgram<DensityAdapter>>(
             circuit, noise,
             DensityAdapter{
                 noise,
                 FusionOptions{options.fusion, options.fusion_max_qubits}},
-            std::move(initial));
+            DensityState(circuit.numQubits()));
     }
 };
 

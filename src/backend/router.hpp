@@ -107,8 +107,8 @@ double assertionGateWeight(BackendKind kind, int num_qubits);
 /**
  * Multi-line human-readable report of the analysis and routing for a
  * job: circuit profile, noise profile, per-backend capability verdicts,
- * and the chosen backend with its reason. Powers `qassertd --explain`
- * and the qa_explain tool; executes nothing.
+ * and the chosen backend with its reason. Powers the qa_explain tool
+ * and the wire explain op; executes nothing.
  */
 std::string explainRouting(const QuantumCircuit& circuit,
                            const SimOptions& options);

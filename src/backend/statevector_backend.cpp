@@ -103,14 +103,12 @@ class StatevectorBackend final : public Backend
             const SimOptions& options) const override
     {
         const NoiseModel* noise = activeNoise(options.noise);
-        Statevector initial(circuit.numQubits());
-        initial.setSimd(options.simd);
         return std::make_shared<ShotProgram<StatevectorAdapter>>(
             circuit, noise,
             StatevectorAdapter{
                 noise,
                 FusionOptions{options.fusion, options.fusion_max_qubits}},
-            std::move(initial));
+            Statevector(circuit.numQubits()));
     }
 };
 

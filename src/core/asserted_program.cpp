@@ -5,76 +5,6 @@
 namespace qa
 {
 
-namespace
-{
-
-/** Build a standalone assertion fragment for costing or insertion. */
-QuantumCircuit
-buildFragment(const CorrectSubspace& subspace, AssertionDesign design,
-              SwapPlacement placement, const BuildContext& ctx)
-{
-    switch (design) {
-      case AssertionDesign::kSwap:
-        return buildSwapAssertion(subspace, ctx, placement);
-      case AssertionDesign::kOr:
-        return buildOrAssertion(subspace, ctx);
-      case AssertionDesign::kNdd:
-        return buildNddAssertion(subspace, ctx);
-      case AssertionDesign::kProq:
-        return buildProqAssertion(subspace, ctx);
-      case AssertionDesign::kCustom:
-      case AssertionDesign::kAuto:
-        break;
-    }
-    QA_FAIL("buildFragment needs a concrete design");
-}
-
-AssertionPlan
-planFor(const CorrectSubspace& subspace, AssertionDesign design,
-        SwapPlacement placement)
-{
-    switch (design) {
-      case AssertionDesign::kSwap:
-        return planSwapAssertion(subspace, placement);
-      case AssertionDesign::kOr:
-        return planOrAssertion(subspace);
-      case AssertionDesign::kNdd:
-        return planNddAssertion(subspace);
-      case AssertionDesign::kProq:
-        return planProqAssertion(subspace);
-      case AssertionDesign::kCustom:
-      case AssertionDesign::kAuto:
-        break;
-    }
-    QA_FAIL("planFor needs a concrete design");
-}
-
-/** Cost a design against a hypothetical standalone layout. */
-CircuitCost
-costDesign(const CorrectSubspace& subspace, AssertionDesign design,
-           SwapPlacement placement, const std::vector<int>& free_qubits,
-           int base_qubits)
-{
-    const AssertionPlan plan = planFor(subspace, design, placement);
-    BuildContext ctx;
-    ctx.total_qubits = base_qubits + plan.num_ancillas;
-    ctx.total_clbits = plan.num_clbits;
-    for (int q = 0; q < subspace.n; ++q) ctx.qubits.push_back(q);
-    for (int a = 0; a < plan.num_ancillas; ++a) {
-        ctx.ancillas.push_back(base_qubits + a);
-    }
-    for (int c = 0; c < plan.num_clbits; ++c) ctx.clbits.push_back(c);
-    ctx.free_qubits = free_qubits;
-
-    const QuantumCircuit frag =
-        buildFragment(subspace, design, placement, ctx);
-    CircuitCost cost = circuitCost(frag);
-    cost.ancilla = plan.num_ancillas;
-    return cost;
-}
-
-} // namespace
-
 AssertedProgram::AssertedProgram(const QuantumCircuit& program)
     : program_qubits_(program.numQubits()), circ_(program)
 {
@@ -90,6 +20,15 @@ AssertedProgram::append(const QuantumCircuit& fragment)
     std::vector<int> ident;
     for (int q = 0; q < fragment.numQubits(); ++q) ident.push_back(q);
     circ_.compose(fragment, ident);
+}
+
+void
+AssertedProgram::appendFragment(const QuantumCircuit& frag)
+{
+    std::vector<int> qmap, cmap;
+    for (int q = 0; q < frag.numQubits(); ++q) qmap.push_back(q);
+    for (int c = 0; c < frag.numClbits(); ++c) cmap.push_back(c);
+    circ_.compose(frag, qmap, cmap);
 }
 
 void
@@ -118,14 +57,6 @@ AssertedProgram::assertState(const std::vector<int>& qubits,
     }
     const CorrectSubspace subspace = analyzeStateSet(set);
 
-    // Program qubits not under test may serve as dirty ancillas.
-    std::vector<int> free_qubits;
-    for (int q = 0; q < program_qubits_; ++q) {
-        bool tested = false;
-        for (int t : qubits) tested |= (t == q);
-        if (!tested) free_qubits.push_back(q);
-    }
-
     AssertionDesign resolved = design;
     if (design == AssertionDesign::kAuto) {
         // The paper's design = NONE: pick the least CX count.
@@ -134,8 +65,10 @@ AssertedProgram::assertState(const std::vector<int>& qubits,
                                               AssertionDesign::kNdd};
         int best_cx = -1, best_sg = -1;
         for (AssertionDesign cand : candidates) {
-            const CircuitCost cost = costDesign(
-                subspace, cand, placement, free_qubits, program_qubits_);
+            const CircuitCost cost =
+                costAssertion(subspace, cand, placement, qubits,
+                              program_qubits_)
+                    .cost;
             const bool better =
                 best_cx < 0 || cost.cx < best_cx ||
                 (cost.cx == best_cx && cost.sg < best_sg);
@@ -147,27 +80,16 @@ AssertedProgram::assertState(const std::vector<int>& qubits,
         }
     }
 
-    const AssertionPlan plan = planFor(subspace, resolved, placement);
+    const AssertionPlan plan = planAssertion(subspace, resolved, placement);
     const int first_clbit = circ_.numClbits();
     widen(0, plan.num_clbits);
-
-    BuildContext ctx;
-    ctx.qubits = qubits;
-    ctx.ancillas = acquireAncillas(plan.num_ancillas);
-    ctx.total_qubits = circ_.numQubits();
-    ctx.total_clbits = circ_.numClbits();
-    for (int c = 0; c < plan.num_clbits; ++c) {
-        ctx.clbits.push_back(first_clbit + c);
-    }
-    ctx.free_qubits = free_qubits;
-
+    const BuildContext ctx =
+        slotLayout(qubits, program_qubits_,
+                   acquireAncillas(plan.num_ancillas), first_clbit,
+                   plan.num_clbits);
     const QuantumCircuit frag =
-        buildFragment(subspace, resolved, placement, ctx);
-
-    std::vector<int> qmap, cmap;
-    for (int q = 0; q < circ_.numQubits(); ++q) qmap.push_back(q);
-    for (int c = 0; c < circ_.numClbits(); ++c) cmap.push_back(c);
-    circ_.compose(frag, qmap, cmap);
+        buildAssertion(subspace, resolved, ctx, placement);
+    appendFragment(frag);
     releaseAncillas(ctx.ancillas);
 
     Slot slot;
@@ -241,10 +163,7 @@ AssertedProgram::addCustomAssertion(
     QA_REQUIRE(frag.numQubits() == circ_.numQubits() &&
                    frag.numClbits() == circ_.numClbits(),
                "custom fragment width mismatch");
-    std::vector<int> qmap, cmap;
-    for (int q = 0; q < circ_.numQubits(); ++q) qmap.push_back(q);
-    for (int c = 0; c < circ_.numClbits(); ++c) cmap.push_back(c);
-    circ_.compose(frag, qmap, cmap);
+    appendFragment(frag);
     releaseAncillas(ctx.ancillas);
 
     Slot slot;
@@ -274,7 +193,10 @@ estimateAssertionCost(const StateSet& set, AssertionDesign design,
     QA_REQUIRE(design != AssertionDesign::kAuto,
                "estimate a concrete design");
     const CorrectSubspace subspace = analyzeStateSet(set);
-    return costDesign(subspace, design, placement, {}, subspace.n);
+    std::vector<int> qubits;
+    for (int q = 0; q < subspace.n; ++q) qubits.push_back(q);
+    return costAssertion(subspace, design, placement, qubits, subspace.n)
+        .cost;
 }
 
 } // namespace qa

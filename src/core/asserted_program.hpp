@@ -80,6 +80,9 @@ class AssertedProgram
   private:
     void widen(int extra_qubits, int extra_clbits);
 
+    /** Compose a fragment laid out on this circuit's own labels. */
+    void appendFragment(const QuantumCircuit& frag);
+
     /** Take `count` ancillas from the free pool, widening as needed. */
     std::vector<int> acquireAncillas(int count);
 

@@ -1,5 +1,6 @@
 #include "core/builders.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <optional>
 
@@ -277,8 +278,6 @@ subRange(const std::vector<int>& v, size_t begin, size_t count)
     return std::vector<int>(v.begin() + begin, v.begin() + begin + count);
 }
 
-} // namespace
-
 AssertionPlan
 planSwapAssertion(const CorrectSubspace& subspace, SwapPlacement)
 {
@@ -347,9 +346,6 @@ buildSwapAssertion(const CorrectSubspace& subspace, const BuildContext& ctx,
     return frag;
 }
 
-namespace
-{
-
 /** Emit one power-rank logical-OR assertion. */
 void
 emitOrPower(QuantumCircuit& frag, const std::vector<CVector>& basis,
@@ -388,8 +384,6 @@ emitOrPower(QuantumCircuit& frag, const std::vector<CVector>& basis,
     frag.measure(flag, clbit);
     frag.compose(bc.u, qubits);
 }
-
-} // namespace
 
 AssertionPlan
 planOrAssertion(const CorrectSubspace& subspace)
@@ -461,9 +455,6 @@ buildOrAssertion(const CorrectSubspace& subspace, const BuildContext& ctx)
     return frag;
 }
 
-namespace
-{
-
 /** Emit one power-rank projective (Proq) assertion. */
 void
 emitProqPower(QuantumCircuit& frag, const std::vector<CVector>& basis,
@@ -488,8 +479,6 @@ emitProqPower(QuantumCircuit& frag, const std::vector<CVector>& basis,
     }
     frag.compose(bc.u, qubits);
 }
-
-} // namespace
 
 AssertionPlan
 planProqAssertion(const CorrectSubspace& subspace)
@@ -607,6 +596,91 @@ buildNddAssertion(const CorrectSubspace& subspace, const BuildContext& ctx)
     frag.h(anc);
     frag.measure(anc, ctx.clbits[0]);
     return frag;
+}
+
+} // namespace
+
+AssertionPlan
+planAssertion(const CorrectSubspace& subspace, AssertionDesign design,
+              SwapPlacement placement)
+{
+    switch (design) {
+      case AssertionDesign::kSwap:
+        return planSwapAssertion(subspace, placement);
+      case AssertionDesign::kOr:
+        return planOrAssertion(subspace);
+      case AssertionDesign::kNdd:
+        return planNddAssertion(subspace);
+      case AssertionDesign::kProq:
+        return planProqAssertion(subspace);
+      case AssertionDesign::kCustom:
+      case AssertionDesign::kAuto:
+        break;
+    }
+    QA_FAIL("planAssertion needs a concrete design");
+}
+
+QuantumCircuit
+buildAssertion(const CorrectSubspace& subspace, AssertionDesign design,
+               const BuildContext& ctx, SwapPlacement placement)
+{
+    switch (design) {
+      case AssertionDesign::kSwap:
+        return buildSwapAssertion(subspace, ctx, placement);
+      case AssertionDesign::kOr:
+        return buildOrAssertion(subspace, ctx);
+      case AssertionDesign::kNdd:
+        return buildNddAssertion(subspace, ctx);
+      case AssertionDesign::kProq:
+        return buildProqAssertion(subspace, ctx);
+      case AssertionDesign::kCustom:
+      case AssertionDesign::kAuto:
+        break;
+    }
+    QA_FAIL("buildAssertion needs a concrete design");
+}
+
+BuildContext
+slotLayout(const std::vector<int>& qubits, int program_qubits,
+           std::vector<int> ancillas, int first_clbit, int num_clbits)
+{
+    BuildContext ctx;
+    ctx.qubits = qubits;
+    ctx.total_qubits = program_qubits;
+    for (int a : ancillas) {
+        ctx.total_qubits = std::max(ctx.total_qubits, a + 1);
+    }
+    ctx.ancillas = std::move(ancillas);
+    ctx.total_clbits = first_clbit + num_clbits;
+    for (int c = 0; c < num_clbits; ++c) {
+        ctx.clbits.push_back(first_clbit + c);
+    }
+    for (int q = 0; q < program_qubits; ++q) {
+        if (std::find(qubits.begin(), qubits.end(), q) == qubits.end()) {
+            ctx.free_qubits.push_back(q);
+        }
+    }
+    return ctx;
+}
+
+CostedAssertion
+costAssertion(const CorrectSubspace& subspace, AssertionDesign design,
+              SwapPlacement placement, const std::vector<int>& qubits,
+              int program_qubits)
+{
+    const AssertionPlan plan = planAssertion(subspace, design, placement);
+    std::vector<int> ancillas;
+    for (int a = 0; a < plan.num_ancillas; ++a) {
+        ancillas.push_back(program_qubits + a);
+    }
+    const BuildContext ctx = slotLayout(qubits, program_qubits,
+                                        std::move(ancillas), 0,
+                                        plan.num_clbits);
+    QuantumCircuit fragment =
+        buildAssertion(subspace, design, ctx, placement);
+    CircuitCost cost = circuitCost(fragment);
+    cost.ancilla = plan.num_ancillas;
+    return {plan, std::move(fragment), cost};
 }
 
 } // namespace qa

@@ -14,6 +14,7 @@
 
 #include "circuit/circuit.hpp"
 #include "core/state_set.hpp"
+#include "transpile/peephole.hpp"
 
 namespace qa
 {
@@ -69,37 +70,53 @@ struct BuildContext
     std::vector<int> free_qubits; ///< Borrowable dirty ancillas.
 };
 
-/** @name SWAP-based design */
+/**
+ * @name Design dispatch
+ * The one plan/build pair keyed by a concrete design (kSwap, kOr, kNdd,
+ * kProq); `placement` only shapes kSwap. Both AssertedProgram and the
+ * assertion compiler lower through these.
+ */
 ///@{
-AssertionPlan planSwapAssertion(
-    const CorrectSubspace& subspace,
+AssertionPlan planAssertion(
+    const CorrectSubspace& subspace, AssertionDesign design,
     SwapPlacement placement = SwapPlacement::kInvBeforePrepAfter);
 
-QuantumCircuit buildSwapAssertion(
-    const CorrectSubspace& subspace, const BuildContext& ctx,
+QuantumCircuit buildAssertion(
+    const CorrectSubspace& subspace, AssertionDesign design,
+    const BuildContext& ctx,
     SwapPlacement placement = SwapPlacement::kInvBeforePrepAfter);
 ///@}
 
-/** @name Logical-OR-based design */
-///@{
-AssertionPlan planOrAssertion(const CorrectSubspace& subspace);
-QuantumCircuit buildOrAssertion(const CorrectSubspace& subspace,
-                                const BuildContext& ctx);
-///@}
+/**
+ * Lay out one assertion slot: `qubits` under test, every other qubit of
+ * the `program_qubits`-wide program as a borrowable free qubit, the
+ * allocated `ancillas`, and `num_clbits` clbits from `first_clbit`. The
+ * fragment spans the program, the ancillas, and clbits [0, first_clbit +
+ * num_clbits).
+ */
+BuildContext slotLayout(const std::vector<int>& qubits, int program_qubits,
+                        std::vector<int> ancillas, int first_clbit,
+                        int num_clbits);
 
-/** @name NDD-based design */
-///@{
-AssertionPlan planNddAssertion(const CorrectSubspace& subspace);
-QuantumCircuit buildNddAssertion(const CorrectSubspace& subspace,
-                                 const BuildContext& ctx);
-///@}
+/** One design's standalone fragment and its cost. */
+struct CostedAssertion
+{
+    AssertionPlan plan;
+    QuantumCircuit fragment;
+    CircuitCost cost; ///< cost.ancilla = plan.num_ancillas.
+};
 
-/** @name Projection-based baseline (Proq [30]) */
-///@{
-AssertionPlan planProqAssertion(const CorrectSubspace& subspace);
-QuantumCircuit buildProqAssertion(const CorrectSubspace& subspace,
-                                  const BuildContext& ctx);
-///@}
+/**
+ * Plan, lay out, build, and cost `design` on `qubits` of a
+ * `program_qubits`-wide program, with the plan's ancillas appended after
+ * the program and its clbits from 0: the real qubit labels, so free
+ * qubits never alias a tested one.
+ */
+CostedAssertion costAssertion(const CorrectSubspace& subspace,
+                              AssertionDesign design,
+                              SwapPlacement placement,
+                              const std::vector<int>& qubits,
+                              int program_qubits);
 
 /**
  * Basis-change pair shared by the SWAP and OR designs: uinv maps the

@@ -62,13 +62,19 @@ runAsserted(const AssertedProgram& program, const SimOptions& options)
     return outcome;
 }
 
+Distribution
+exactRunDistribution(const QuantumCircuit& circuit, const NoiseModel* noise)
+{
+    return noise != nullptr && noise->enabled()
+               ? exactDistributionDM(circuit, noise)
+               : exactDistribution(circuit);
+}
+
 AssertionOutcomeExact
 runAssertedExact(const AssertedProgram& program, const NoiseModel* noise)
 {
     AssertionOutcomeExact outcome;
-    outcome.raw = noise != nullptr && noise->enabled()
-                      ? exactDistributionDM(program.circuit(), noise)
-                      : exactDistribution(program.circuit());
+    outcome.raw = exactRunDistribution(program.circuit(), noise);
 
     for (const AssertedProgram::Slot& slot : program.slots()) {
         outcome.slot_error_prob.push_back(outcome.raw.mass(

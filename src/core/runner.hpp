@@ -51,9 +51,14 @@ struct AssertionOutcomeExact
 };
 
 /**
- * Exact distribution run: statevector branching when `noise` is null,
- * density-matrix evolution with exact channels otherwise.
+ * Exact outcome distribution of `circuit`: statevector branching when
+ * `noise` is null or disabled, density-matrix evolution with exact
+ * channels and readout error otherwise.
  */
+Distribution exactRunDistribution(const QuantumCircuit& circuit,
+                                  const NoiseModel* noise = nullptr);
+
+/** Exact distribution run of the asserted circuit (exactRunDistribution). */
 AssertionOutcomeExact runAssertedExact(const AssertedProgram& program,
                                        const NoiseModel* noise = nullptr);
 

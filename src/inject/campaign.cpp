@@ -71,7 +71,7 @@ bareProgramDist(const QuantumCircuit& program,
 {
     const QuantumCircuit measured = withMeasurements(program);
     if (options.shots <= 0) {
-        return exactDistribution(measured);
+        return exactRunDistribution(measured, options.noise);
     }
     SimOptions sim;
     sim.shots = options.shots;

@@ -5,6 +5,7 @@
 
 #include "common/error.hpp"
 #include "linalg/states.hpp"
+#include "sim/branch_walk.hpp"
 #include "sim/kernels.hpp"
 
 namespace qa
@@ -27,7 +28,7 @@ namespace
  */
 void
 applyAxis(CMatrix& rho, const CMatrix& m, const std::vector<int>& qubits,
-          int num_qubits, int axis, bool simd)
+          int num_qubits, int axis)
 {
     const int shift = axis == 0 ? num_qubits : 0;
     std::vector<int> pos(qubits.size());
@@ -35,7 +36,8 @@ applyAxis(CMatrix& rho, const CMatrix& m, const std::vector<int>& qubits,
         pos[j] = shift + num_qubits - 1 - qubits[j];
     }
     const uint64_t dim = uint64_t(rho.rows()) * rho.cols();
-    applyDenseKernel(&rho(0, 0), dim, m, pos.data(), qubits.size(), simd);
+    applyDenseKernel(&rho(0, 0), dim, m, pos.data(), qubits.size(),
+                     /*simd=*/true);
 }
 
 } // namespace
@@ -60,7 +62,7 @@ DensityState::DensityState(CMatrix rho) : num_qubits_(0),
 void
 DensityState::applyLeft(const CMatrix& m, const std::vector<int>& qubits)
 {
-    applyAxis(rho_, m, qubits, num_qubits_, 0, simd_);
+    applyAxis(rho_, m, qubits, num_qubits_, 0);
 }
 
 void
@@ -69,8 +71,8 @@ DensityState::applyMatrix(const CMatrix& m, const std::vector<int>& qubits)
     for (int q : qubits) {
         QA_REQUIRE(q >= 0 && q < num_qubits_, "qubit index out of range");
     }
-    applyAxis(rho_, m, qubits, num_qubits_, 0, simd_);
-    applyAxis(rho_, m.conjugate(), qubits, num_qubits_, 1, simd_);
+    applyAxis(rho_, m, qubits, num_qubits_, 0);
+    applyAxis(rho_, m.conjugate(), qubits, num_qubits_, 1);
 }
 
 void
@@ -86,8 +88,8 @@ DensityState::applyKraus(const KrausChannel& channel, int q)
     CMatrix result(rho_.rows(), rho_.cols());
     for (const CMatrix& k : channel.ops()) {
         CMatrix term = rho_;
-        applyAxis(term, k, {q}, num_qubits_, 0, simd_);
-        applyAxis(term, k.conjugate(), {q}, num_qubits_, 1, simd_);
+        applyAxis(term, k, {q}, num_qubits_, 0);
+        applyAxis(term, k.conjugate(), {q}, num_qubits_, 1);
         result += term;
     }
     rho_ = std::move(result);
@@ -126,109 +128,24 @@ DensityState::collapse(int q, int outcome)
     rho_ *= Complex(1.0 / kept, 0.0);
 }
 
-namespace
-{
-
 void
-applyGateNoiseExact(DensityState& state, const Instruction& instr,
-                    const NoiseModel& noise)
+DensityState::applyGateNoise(const Instruction& instr,
+                             const NoiseModel& noise)
 {
     const auto& channels =
         instr.arity() == 1 ? noise.noise_1q : noise.noise_2q;
     for (int q : instr.qubits) {
-        for (const KrausChannel& channel : channels) {
-            state.applyKraus(channel, q);
-        }
+        for (const KrausChannel& channel : channels) applyKraus(channel, q);
     }
 }
-
-} // namespace
 
 Distribution
 exactDistributionDM(const QuantumCircuit& circuit, const NoiseModel* noise)
 {
-    if (noise != nullptr && noise->enabled()) noise->validate();
-    struct Branch
-    {
-        DensityState state;
-        std::string clbits;
-        double prob;
-        size_t pc;
-    };
-
     const bool noisy = noise != nullptr && noise->enabled();
-    Distribution dist;
-    std::vector<Branch> stack;
-    stack.push_back(Branch{DensityState(circuit.numQubits()),
-                           std::string(size_t(std::max(
-                               circuit.numClbits(), 0)), '0'),
-                           1.0, 0});
-
-    const auto& instrs = circuit.instructions();
-    while (!stack.empty()) {
-        Branch branch = std::move(stack.back());
-        stack.pop_back();
-
-        bool alive = true;
-        while (branch.pc < instrs.size() && alive) {
-            const Instruction& instr = instrs[branch.pc];
-            ++branch.pc;
-            switch (instr.type) {
-              case OpType::kGate:
-                branch.state.applyGate(instr);
-                if (noisy) {
-                    applyGateNoiseExact(branch.state, instr, *noise);
-                }
-                break;
-              case OpType::kBarrier:
-                break;
-              case OpType::kMeasure:
-              case OpType::kReset: {
-                const int q = instr.qubits[0];
-                const double p1 = branch.state.probabilityOne(q);
-                for (int outcome : {0, 1}) {
-                    const double p = outcome ? p1 : 1.0 - p1;
-                    if (p < 1e-12) continue;
-                    Branch next = branch;
-                    next.prob *= p;
-                    next.state.collapse(q, outcome);
-                    if (instr.type == OpType::kReset) {
-                        if (outcome == 1) {
-                            next.state.applyMatrix(
-                                CMatrix{{0, 1}, {1, 0}}, {q});
-                        }
-                        stack.push_back(std::move(next));
-                        continue;
-                    }
-                    // Fold asymmetric readout error into the classical
-                    // record: the collapse is on the true outcome, only
-                    // the recorded bit may flip.
-                    double flip = 0.0;
-                    if (noisy) {
-                        flip = outcome ? noise->readout_p10
-                                       : noise->readout_p01;
-                    }
-                    if (flip > 0.0) {
-                        Branch flipped = next;
-                        flipped.prob *= flip;
-                        flipped.clbits[instr.cbit] =
-                            outcome ? '0' : '1';
-                        stack.push_back(std::move(flipped));
-                        next.prob *= 1.0 - flip;
-                    }
-                    next.clbits[instr.cbit] = outcome ? '1' : '0';
-                    stack.push_back(std::move(next));
-                }
-                alive = false;
-                break;
-              }
-            }
-        }
-        if (alive) {
-            dist.probs[branch.clbits] += branch.prob;
-        }
-    }
-    return dist;
+    if (noisy) noise->validate();
+    return exactBranchWalk(circuit, DensityState(circuit.numQubits()),
+                           noisy ? noise : nullptr);
 }
 
 CMatrix
@@ -242,7 +159,7 @@ finalDensity(const QuantumCircuit& circuit, const NoiseModel* noise)
                    "finalDensity requires a measurement-free circuit");
         if (instr.type == OpType::kGate) {
             state.applyGate(instr);
-            if (noisy) applyGateNoiseExact(state, instr, *noise);
+            if (noisy) state.applyGateNoise(instr, *noise);
         }
     }
     return state.rho();

@@ -29,10 +29,6 @@ class DensityState
     int numQubits() const { return num_qubits_; }
     const CMatrix& rho() const { return rho_; }
 
-    /** Allow/forbid the AVX2 kernel path for this state (default on). */
-    void setSimd(bool simd) { simd_ = simd; }
-    bool simdEnabled() const { return simd_; }
-
     /** Conjugate the state by a 2^k unitary on the listed qubits. */
     void applyMatrix(const CMatrix& m, const std::vector<int>& qubits);
 
@@ -41,6 +37,9 @@ class DensityState
 
     /** Apply a single-qubit Kraus channel exactly: rho -> sum K rho K^+. */
     void applyKraus(const KrausChannel& channel, int q);
+
+    /** Apply the model's gate channels to every qubit `instr` touches. */
+    void applyGateNoise(const Instruction& instr, const NoiseModel& noise);
 
     /** Probability that measuring qubit q yields 1. */
     double probabilityOne(int q) const;
@@ -54,7 +53,6 @@ class DensityState
 
     int num_qubits_;
     CMatrix rho_;
-    bool simd_ = true;
 };
 
 /**

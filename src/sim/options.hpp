@@ -133,9 +133,6 @@ inline constexpr bool kFusion = true;
 /** Largest qubit union one fused group may cover (2 or 3). */
 inline constexpr int kFusionMaxQubits = 2;
 
-/** AVX2 kernels on by default (runtime-dispatched; see sim/kernels.hpp). */
-inline constexpr bool kSimd = true;
-
 /**
  * MPS bond-dimension cap: every two-site update keeps at most this many
  * Schmidt coefficients. 64 serves the 30-50 qubit low-entanglement
@@ -193,12 +190,6 @@ struct SimOptions
      */
     bool fusion = defaults::kFusion;
     int fusion_max_qubits = defaults::kFusionMaxQubits;
-
-    /**
-     * Allow the AVX2 amplitude kernels when compiled in and supported
-     * by the CPU; false forces the scalar kernels.
-     */
-    bool simd = defaults::kSimd;
 
     /**
      * MPS backend bond-dimension cap (chi). Larger values widen the

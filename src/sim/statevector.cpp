@@ -6,6 +6,7 @@
 #include "common/error.hpp"
 #include "common/format.hpp"
 #include "linalg/states.hpp"
+#include "sim/branch_walk.hpp"
 #include "sim/fusion.hpp"
 #include "sim/kernels.hpp"
 
@@ -197,64 +198,8 @@ Statevector::sampleBasis(Rng& rng) const
 Distribution
 exactDistribution(const QuantumCircuit& circuit)
 {
-    struct Branch
-    {
-        Statevector state;
-        std::string clbits;
-        double prob;
-        size_t pc;
-    };
-
-    Distribution dist;
-    std::vector<Branch> stack;
-    stack.push_back(Branch{Statevector(circuit.numQubits()),
-                           std::string(size_t(std::max(
-                               circuit.numClbits(), 0)), '0'),
-                           1.0, 0});
-
-    const auto& instrs = circuit.instructions();
-    while (!stack.empty()) {
-        Branch branch = std::move(stack.back());
-        stack.pop_back();
-
-        bool alive = true;
-        while (branch.pc < instrs.size() && alive) {
-            const Instruction& instr = instrs[branch.pc];
-            ++branch.pc;
-            switch (instr.type) {
-              case OpType::kGate:
-                branch.state.applyGate(instr);
-                break;
-              case OpType::kBarrier:
-                break;
-              case OpType::kMeasure:
-              case OpType::kReset: {
-                const int q = instr.qubits[0];
-                const double p1 = branch.state.probabilityOne(q);
-                for (int outcome : {0, 1}) {
-                    const double p = outcome ? p1 : 1.0 - p1;
-                    if (p < 1e-12) continue;
-                    Branch next = branch;
-                    next.prob *= p;
-                    next.state.collapse(q, outcome);
-                    if (instr.type == OpType::kMeasure) {
-                        next.clbits[instr.cbit] = outcome ? '1' : '0';
-                    } else if (outcome == 1) {
-                        next.state.applyMatrix(CMatrix{{0, 1}, {1, 0}},
-                                               {q});
-                    }
-                    stack.push_back(std::move(next));
-                }
-                alive = false;
-                break;
-              }
-            }
-        }
-        if (alive) {
-            dist.probs[branch.clbits] += branch.prob;
-        }
-    }
-    return dist;
+    return exactBranchWalk(circuit, Statevector(circuit.numQubits()),
+                           nullptr);
 }
 
 Statevector

@@ -285,6 +285,50 @@ TEST(AutoSelectionTest, PicksCheapestDesign)
                     estimateAssertionCost(parity_set,
                                           AssertionDesign::kOr).cx);
     EXPECT_LE(slot.cost.cx, best);
+
+    // kAuto must insert exactly what the cheapest explicit design
+    // inserts. GHZ-3 on qubits {2, 3, 4} of a 5-qubit program leaves
+    // the free qubits 0 and 1 below the tested ones, so the candidates
+    // must be costed on the real qubit labels.
+    QuantumCircuit ghz_on_top(5);
+    ghz_on_top.h(2);
+    ghz_on_top.cx(2, 3);
+    ghz_on_top.cx(3, 4);
+    struct Input
+    {
+        QuantumCircuit program;
+        std::vector<int> qubits;
+        StateSet set;
+    };
+    const Input inputs[] = {
+        {algos::ghzPrep(3), {0, 1, 2}, parity_set},
+        {ghz_on_top, {2, 3, 4}, StateSet::pure(algos::ghzVector(3))}};
+    for (const Input& in : inputs) {
+        AssertedProgram picked(in.program);
+        picked.assertState(in.qubits, in.set, AssertionDesign::kAuto);
+        AssertionDesign cheapest = AssertionDesign::kAuto;
+        CircuitCost cheapest_cost;
+        for (AssertionDesign design :
+             {AssertionDesign::kSwap, AssertionDesign::kOr,
+              AssertionDesign::kNdd}) {
+            AssertedProgram pinned(in.program);
+            pinned.assertState(in.qubits, in.set, design);
+            const CircuitCost cost = pinned.slots()[0].cost;
+            if (cheapest == AssertionDesign::kAuto ||
+                cost.cx < cheapest_cost.cx ||
+                (cost.cx == cheapest_cost.cx &&
+                 cost.sg < cheapest_cost.sg)) {
+                cheapest = design;
+                cheapest_cost = cost;
+            }
+        }
+        const AssertedProgram::Slot& auto_slot = picked.slots()[0];
+        EXPECT_EQ(auto_slot.design, cheapest);
+        EXPECT_EQ(auto_slot.cost.cx, cheapest_cost.cx);
+        EXPECT_EQ(auto_slot.cost.sg, cheapest_cost.sg);
+        EXPECT_EQ(auto_slot.cost.ancilla, cheapest_cost.ancilla);
+        EXPECT_EQ(auto_slot.cost.measure, cheapest_cost.measure);
+    }
 }
 
 TEST(CostTest, PaperTableOneNumbers)

@@ -63,14 +63,9 @@ TEST(EquivalenceTest, Fig4PlusStateSwapAssertion)
     // identical pass-branch post-state for every input.
     CorrectSubspace ss = analyzeStateSet(
         StateSet::pure(CVector{1.0 / std::sqrt(2), 1.0 / std::sqrt(2)}));
-    BuildContext ctx;
-    ctx.total_qubits = 2;
-    ctx.total_clbits = 1;
-    ctx.qubits = {0};
-    ctx.ancillas = {1};
-    ctx.clbits = {0};
-    QuantumCircuit ours = buildSwapAssertion(
-        ss, ctx, SwapPlacement::kInvBeforePrepAfter);
+    const BuildContext ctx = slotLayout({0}, 1, {1}, 0, 1);
+    QuantumCircuit ours = buildAssertion(
+        ss, AssertionDesign::kSwap, ctx, SwapPlacement::kInvBeforePrepAfter);
 
     QuantumCircuit prior(2, 1);
     prior.h(0);
@@ -107,13 +102,8 @@ TEST(EquivalenceTest, Fig13ZeroStateNddAssertion)
     // (the prior work's classical assertion circuit).
     CorrectSubspace ss =
         analyzeStateSet(StateSet::pure(CVector::basisState(2, 0)));
-    BuildContext ctx;
-    ctx.total_qubits = 2;
-    ctx.total_clbits = 1;
-    ctx.qubits = {0};
-    ctx.ancillas = {1};
-    ctx.clbits = {0};
-    QuantumCircuit ours = buildNddAssertion(ss, ctx);
+    const BuildContext ctx = slotLayout({0}, 1, {1}, 0, 1);
+    QuantumCircuit ours = buildAssertion(ss, AssertionDesign::kNdd, ctx);
 
     QuantumCircuit prior(2, 1);
     prior.cx(0, 1);
@@ -128,13 +118,8 @@ TEST(EquivalenceTest, Fig14ParityNddAssertion)
     // the prior work's parity check CX(q0->anc) CX(q1->anc).
     CorrectSubspace ss = analyzeStateSet(StateSet::approximate(
         {CVector::basisState(4, 0), CVector::basisState(4, 3)}));
-    BuildContext ctx;
-    ctx.total_qubits = 3;
-    ctx.total_clbits = 1;
-    ctx.qubits = {0, 1};
-    ctx.ancillas = {2};
-    ctx.clbits = {0};
-    QuantumCircuit ours = buildNddAssertion(ss, ctx);
+    const BuildContext ctx = slotLayout({0, 1}, 2, {2}, 0, 1);
+    QuantumCircuit ours = buildAssertion(ss, AssertionDesign::kNdd, ctx);
 
     QuantumCircuit prior(3, 1);
     prior.cx(0, 2);
@@ -172,13 +157,8 @@ TEST(EquivalenceTest, NddPlusStateIsControlledX)
     CMatrix u = ss.projector() * Complex(2.0, 0.0) - CMatrix::identity(2);
     test::expectMatrixNear(u, gates::x(), 1e-10);
 
-    BuildContext ctx;
-    ctx.total_qubits = 2;
-    ctx.total_clbits = 1;
-    ctx.qubits = {0};
-    ctx.ancillas = {1};
-    ctx.clbits = {0};
-    QuantumCircuit ours = buildNddAssertion(ss, ctx);
+    const BuildContext ctx = slotLayout({0}, 1, {1}, 0, 1);
+    QuantumCircuit ours = buildAssertion(ss, AssertionDesign::kNdd, ctx);
     CircuitCost cost = circuitCost(ours);
     EXPECT_EQ(cost.cx, 1);
 }

@@ -293,6 +293,28 @@ TEST(CampaignTest, SampledSweepMatchesAnalyticRates)
     }
 }
 
+TEST(CampaignTest, ExactCorruptionHonoursNoise)
+{
+    // Readout error of 1/2 on both bits makes every measured bit a
+    // fair coin, so no fault can change the bare program's output. The
+    // exact bare run must see the noise model the asserted run sees,
+    // and agree with the sampled campaign.
+    const CampaignRunner runner = CampaignRunner::assertingFinalState(
+        ghzPrep(3), AssertionDesign::kSwap);
+    NoiseModel noise;
+    noise.readout_p01 = 0.5;
+    noise.readout_p10 = 0.5;
+    CampaignOptions options;
+    options.kinds = {FaultKind::kPauliX};
+    options.noise = &noise;
+    for (const int shots : {0, 8192}) {
+        options.shots = shots;
+        const CampaignReport report = runner.run(options);
+        ASSERT_EQ(report.num_faults, 5) << "shots=" << shots;
+        EXPECT_EQ(report.num_corrupting, 0) << "shots=" << shots;
+    }
+}
+
 TEST(CampaignTest, SummaryRendersKindAndSlotTables)
 {
     const CampaignRunner runner = CampaignRunner::assertingFinalState(

@@ -12,7 +12,6 @@
  *            [--journal PATH] [--sync-every N] [--drain-ms X]
  *            [--listen HOST:PORT] [--port-file PATH]
  *   qassertd --replay PATH
- *   qassertd --explain PATH      # classify + route a QASM file, no run
  *
  * --listen serves the same NDJSON protocol over TCP instead of stdin:
  * any number of concurrent connections (each a remote qa_router, or a
@@ -26,7 +25,7 @@
  * --auto-assert defaults every request that does not name the field to
  * {"auto_assert":true}: raw circuits get assertion-compiler invariants
  * discovered, lowered, and checked (serve/job.hpp). Requests that do
- * carry the field keep their own value. Also applies to --explain.
+ * carry the field keep their own value.
  *
  * Behaviour:
  *  - every input line is one request; every response is one line
@@ -59,12 +58,8 @@
 #include <iostream>
 #include <memory>
 #include <mutex>
-#include <sstream>
 #include <string>
 
-#include "acomp/compiler.hpp"
-#include "backend/router.hpp"
-#include "circuit/qasm.hpp"
 #include "common/error.hpp"
 #include "common/net.hpp"
 #include "resilience/journal.hpp"
@@ -164,51 +159,6 @@ replayJournalCli(const std::string& path)
     return 1;
 }
 
-/**
- * `--explain PATH`: parse a QASM file ("-" = stdin), print the circuit
- * classification, per-backend capability verdicts, and the routing
- * decision to stdout — without executing a single shot.
- */
-int
-explainFile(const std::string& path, bool auto_assert)
-{
-    std::string text;
-    if (path == "-") {
-        std::ostringstream buffer;
-        buffer << std::cin.rdbuf();
-        text = buffer.str();
-    } else {
-        std::ifstream in(path);
-        if (!in) {
-            std::cerr << "qassertd: cannot open '" << path << "'\n";
-            return 1;
-        }
-        std::ostringstream buffer;
-        buffer << in.rdbuf();
-        text = buffer.str();
-    }
-    try {
-        std::vector<QasmPos> positions;
-        const QuantumCircuit circuit = parseQasm(text, &positions);
-        if (auto_assert) {
-            // Compile first, route the instrumented variant 0: that is
-            // the circuit an auto_assert run actually executes.
-            const acomp::CompiledProgram compiled =
-                acomp::autoAssert(circuit, acomp::AcompOptions{},
-                                  &positions);
-            std::cout << acomp::formatLoweringTable(compiled);
-            std::cout << backend::explainRouting(compiled.variants[0],
-                                                 SimOptions{});
-        } else {
-            std::cout << backend::explainRouting(circuit, SimOptions{});
-        }
-    } catch (const UserError& err) {
-        std::cerr << "qassertd: " << err.what() << "\n";
-        return 1;
-    }
-    return 0;
-}
-
 } // namespace
 
 int
@@ -217,7 +167,6 @@ main(int argc, char** argv)
     SchedulerOptions options;
     std::string journal_path;
     std::string replay_path;
-    std::string explain_path;
     std::string listen_spec;
     std::string port_file;
     bool auto_assert = false;
@@ -290,14 +239,6 @@ main(int argc, char** argv)
             }
             replay_path = value;
             ++i;
-        } else if (arg == "--explain") {
-            if (value == nullptr) {
-                std::cerr << "qassertd: --explain needs a path "
-                             "(or - for stdin)\n";
-                return 2;
-            }
-            explain_path = value;
-            ++i;
         } else if (arg == "--help" || arg == "-h") {
             std::cerr
                 << "usage: qassertd [--workers N] [--queue N] [--cache N]"
@@ -309,8 +250,6 @@ main(int argc, char** argv)
                    "                [--listen HOST:PORT] [--port-file "
                    "PATH]\n"
                    "       qassertd --replay PATH\n"
-                   "       qassertd --explain PATH   (QASM file, - for "
-                   "stdin; routes without executing)\n"
                    "NDJSON requests on stdin, one response line per "
                    "request on stdout (see DESIGN.md Sec. 9/10/11)\n";
             return 0;
@@ -325,9 +264,6 @@ main(int argc, char** argv)
     installDrainHandlers();
 
     if (!replay_path.empty()) return replayJournalCli(replay_path);
-    if (!explain_path.empty()) {
-        return explainFile(explain_path, auto_assert);
-    }
 
     std::unique_ptr<resilience::Journal> journal;
     if (!journal_path.empty()) {
